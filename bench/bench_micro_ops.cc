@@ -1,9 +1,12 @@
 // google-benchmark micro-operation benchmarks: the hot-path primitives of
 // the system — hashing/routing, Zipf sampling, the balancer's planning
 // round, Erlang-C/Jackson evaluation, Algorithm 1, the event queue and the
-// order book. These bound the realism of the "scheduling time" results and
-// document the cost of each building block.
+// order book, keyed-state access. These bound the realism of the
+// "scheduling time" results and document the cost of each building block.
 #include <benchmark/benchmark.h>
+
+#include <utility>
+#include <vector>
 
 #include "elasticutor/elasticutor.h"
 
@@ -144,6 +147,44 @@ void BM_StateAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StateAccess);
+
+// Keyed-state access over a working set far past the caches: 2^19 keys
+// spread over 128 shards by the key hash, every key created up front, then
+// read-modify-written in one fixed random order. BM_StateAccess above stays
+// cache-resident and cannot see the table layout.
+template <size_t kValueBytes>
+void BM_StateAccessWide(benchmark::State& state) {
+  struct Value {
+    uint64_t words[kValueBytes / sizeof(uint64_t)];
+  };
+  constexpr uint32_t kKeys = 1u << 19;
+  constexpr int kShards = 128;
+  ProcessStateStore store;
+  for (ShardId s = 0; s < kShards; ++s) {
+    ELASTICUTOR_CHECK(store.CreateShard(s, 0).ok());
+  }
+  std::vector<std::pair<ShardId, StateKey>> order(kKeys);
+  for (StateKey k = 0; k < kKeys; ++k) {
+    order[k] = {static_cast<ShardId>(HashKey(k) % kShards), k};
+  }
+  Rng rng(7);
+  for (uint32_t i = kKeys - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  }
+  for (const auto& [shard, key] : order) {
+    StateAccessor(&store, shard, key).GetOrCreate<Value>();
+  }
+  uint32_t i = 0;
+  for (auto _ : state) {
+    const auto& [shard, key] = order[i];
+    i = (i + 1) & (kKeys - 1);
+    StateAccessor accessor(&store, shard, key);
+    benchmark::DoNotOptimize(++accessor.GetOrCreate<Value>()->words[0]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_StateAccessWide, 16);
+BENCHMARK_TEMPLATE(BM_StateAccessWide, 24);
 
 }  // namespace
 }  // namespace elasticutor

@@ -13,21 +13,32 @@
 //  * user entries — real typed per-key values operator logic reads/writes
 //    through StateAccessor (e.g. the SSE order books), with an estimated
 //    byte footprint that contributes to migration cost.
+//
+// The user entries sit in a flat per-shard StateTable (state/state_table.h):
+// one 40-byte slot per key holds the key, a per-type ops pointer and a
+// 24-byte buffer. A value of at most 24 bytes, at most 8-byte aligned and
+// nothrow-movable is stored in the slot itself, so an access costs one cache
+// miss; any other value lives on the heap behind a pointer in the buffer.
+//  * Pointer lifetime: a T* from StateAccessor::GetOrCreate stays valid
+//    until the next insert into the same shard (an insert may grow the table
+//    and relocate in-slot values).
+//  * Iteration over `ShardState::entries` yields each key with a std::any
+//    *copy* of its value; it is for oracles and diagnostics.
+//  * StateAccessor::kEntryOverheadBytes is a constant of the migration-cost
+//    model (what shipping one entry costs beyond its value), not the
+//    container's actual per-entry overhead.
 #pragma once
 
-#include <any>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/status.h"
+#include "state/state_table.h"
 
 namespace elasticutor {
 
 using ShardId = int32_t;
-using StateKey = uint64_t;
 
 /// Records the keys and bytes written to a shard while its pre-copy is in
 /// flight; the MigrationEngine ships exactly this delta during the final
@@ -43,8 +54,12 @@ class DirtyTracker {
   }
 
   /// In-place growth of an already-dirty entry (e.g. an order book gaining a
-  /// resting order): the extra bytes must be shipped too.
-  void OnGrow(int64_t delta) { bytes_ += delta; }
+  /// resting order): the extra bytes must be shipped too. A shrink ships
+  /// nothing extra, and it must not cancel the first-write bytes of the keys
+  /// already dirtied (the delta would go negative), so it is ignored.
+  void OnGrow(int64_t delta) {
+    if (delta > 0) bytes_ += delta;
+  }
 
   int64_t dirty_bytes() const { return bytes_; }
   size_t dirty_keys() const { return keys_.size(); }
@@ -69,7 +84,7 @@ struct ShardState {
 
   int64_t base_bytes = 0;
   int64_t user_bytes = 0;
-  std::unordered_map<StateKey, std::any> entries;
+  StateTable entries;
 
   /// Non-owning write observer, attached by the MigrationEngine for the
   /// duration of a live pre-copy (null otherwise). Not part of the migrated
@@ -130,19 +145,18 @@ class StateAccessor {
   /// Returns the typed state for the current key, default-constructing it on
   /// first access. `approx_bytes` feeds the migration-cost estimate. Counts
   /// as a write for dirty tracking: callers receive a mutable pointer, and
-  /// stream operators overwhelmingly update the entry they fetch.
+  /// stream operators overwhelmingly update the entry they fetch. The
+  /// pointer stays valid until the next insert into the same shard.
+  /// CHECK-fails if the key already holds a value of another type.
   template <typename T>
   T* GetOrCreate(int64_t approx_bytes = static_cast<int64_t>(sizeof(T))) {
-    auto it = shard_state_->entries.find(key_);
-    if (it == shard_state_->entries.end()) {
-      it = shard_state_->entries.emplace(key_, T{}).first;
+    auto [value, inserted] = shard_state_->entries.FindOrCreate<T>(key_);
+    if (inserted) {
       shard_state_->user_bytes += approx_bytes + kEntryOverheadBytes;
     }
     if (shard_state_->dirty) {
       shard_state_->dirty->OnWrite(key_, approx_bytes + kEntryOverheadBytes);
     }
-    T* value = std::any_cast<T>(&it->second);
-    ELASTICUTOR_CHECK_MSG(value != nullptr, "state type mismatch for key");
     return value;
   }
 
@@ -155,6 +169,8 @@ class StateAccessor {
 
   StateKey key() const { return key_; }
 
+  /// Per-entry bytes the migration-cost model charges on top of the value
+  /// (the cost of shipping an entry), not the table's real slot overhead.
   static constexpr int64_t kEntryOverheadBytes = 48;
 
  private:

@@ -1,16 +1,22 @@
-// Unit tests for the state layer: the per-process store + StateAccessor,
-// the pluggable StateBackend implementations, and the MigrationEngine
-// (chunk/byte accounting, dirty-delta tracking under concurrent writes,
-// sync-blob vs chunked-live semantics).
+// Unit tests for the state layer: the per-shard StateTable, the per-process
+// store + StateAccessor, the pluggable StateBackend implementations, and the
+// MigrationEngine (chunk/byte accounting, dirty-delta tracking under
+// concurrent writes, sync-blob vs chunked-live semantics).
 #include <gtest/gtest.h>
 
+#include <any>
+#include <cstddef>
+#include <limits>
+#include <map>
 #include <type_traits>
+#include <vector>
 
 #include "net/network.h"
 #include "exec/sim_backend.h"
 #include "state/migration_engine.h"
 #include "state/state_backend.h"
 #include "state/state_store.h"
+#include "state/state_table.h"
 
 namespace elasticutor {
 namespace {
@@ -21,6 +27,155 @@ static_assert(!std::is_copy_constructible_v<ShardState>);
 static_assert(!std::is_copy_assignable_v<ShardState>);
 static_assert(std::is_move_constructible_v<ShardState>);
 static_assert(std::is_move_assignable_v<ShardState>);
+
+// ---- StateTable ----
+
+struct Triple {
+  uint64_t a = 0, b = 0, c = 0;
+};
+
+TEST(StateTableTest, GrowsTo100kKeysKeepingEveryValue) {
+  StateTable table;
+  EXPECT_EQ(table.capacity(), 0u);  // Nothing allocated until an insert.
+  constexpr uint64_t kKeys = 100000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    auto [value, inserted] = table.FindOrCreate<Triple>(k * 7919);
+    ASSERT_TRUE(inserted);
+    *value = {k, 2 * k, 3 * k};
+    if (k == 0) EXPECT_EQ(table.capacity(), 4u);
+  }
+  EXPECT_EQ(table.size(), kKeys);
+  EXPECT_EQ(table.capacity(), 262144u);  // Power of two, at most 3/4 full.
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    auto [value, inserted] = table.FindOrCreate<Triple>(k * 7919);
+    ASSERT_FALSE(inserted);
+    ASSERT_EQ(value->a, k);
+    ASSERT_EQ(value->b, 2 * k);
+    ASSERT_EQ(value->c, 3 * k);
+  }
+}
+
+TEST(StateTableTest, ExtremeKeys) {
+  ProcessStateStore store;
+  ASSERT_TRUE(store.CreateShard(0, 0).ok());
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  *StateAccessor(&store, 0, 0).GetOrCreate<int64_t>() = 11;
+  *StateAccessor(&store, 0, kMax).GetOrCreate<int64_t>() = 22;
+  // Enough other keys to force growth and probe runs past both.
+  for (uint64_t k = 1; k <= 64; ++k) {
+    *StateAccessor(&store, 0, kMax - k).GetOrCreate<int64_t>() = 1;
+  }
+  EXPECT_EQ(*StateAccessor(&store, 0, 0).GetOrCreate<int64_t>(), 11);
+  EXPECT_EQ(*StateAccessor(&store, 0, kMax).GetOrCreate<int64_t>(), 22);
+  EXPECT_EQ(store.GetShard(0)->entries.size(), 66u);
+}
+
+// Counts constructions and live instances of a value type, so a test can
+// see each value destroyed exactly once across relocation and moves.
+template <size_t kBytes, bool kNothrowMove>
+struct Counted {
+  static inline int64_t live = 0;
+  static inline int64_t constructed = 0;
+
+  Counted() { Born(); }
+  Counted(const Counted& other) : id(other.id) { Born(); }
+  Counted(Counted&& other) noexcept(kNothrowMove) : id(other.id) { Born(); }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { --live; }
+
+  static void Born() {
+    ++live;
+    ++constructed;
+  }
+
+  uint64_t id = 0;
+  std::byte pad[kBytes - sizeof(uint64_t)] = {};
+};
+
+using InSlotCounted = Counted<16, true>;
+using BigCounted = Counted<32, true>;
+using ThrowingMoveCounted = Counted<16, false>;
+static_assert(StateTable::kInSlot<InSlotCounted>);
+static_assert(!StateTable::kInSlot<BigCounted>);
+static_assert(!StateTable::kInSlot<ThrowingMoveCounted>);
+static_assert(StateTable::kInSlot<int64_t>);
+static_assert(StateTable::kInSlot<Triple>);
+
+template <typename T>
+void ExpectEachValueDestroyedOnce() {
+  T::live = 0;
+  T::constructed = 0;
+  constexpr uint64_t kKeys = 1000;
+  {
+    ProcessStateStore store;
+    ASSERT_TRUE(store.CreateShard(0, 0).ok());
+    for (uint64_t k = 0; k < kKeys; ++k) {  // Grows 4 -> 2048 slots.
+      StateAccessor(&store, 0, k).GetOrCreate<T>()->id = k;
+    }
+    EXPECT_EQ(T::live, static_cast<int64_t>(kKeys));
+
+    StateTable moved = std::move(store.GetShard(0)->entries);
+    EXPECT_EQ(store.GetShard(0)->entries.size(), 0u);
+    store.GetShard(0)->entries = std::move(moved);
+    EXPECT_EQ(T::live, static_cast<int64_t>(kKeys));
+
+    ProcessStateStore other;
+    Result<ShardState> blob = store.ExtractShard(0);
+    ASSERT_TRUE(blob.ok());
+    ASSERT_TRUE(other.InstallShard(0, std::move(blob).value()).ok());
+    EXPECT_EQ(T::live, static_cast<int64_t>(kKeys));
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(StateAccessor(&other, 0, k).GetOrCreate<T>()->id, k);
+    }
+    EXPECT_EQ(T::live, static_cast<int64_t>(kKeys));
+    if constexpr (!StateTable::kInSlot<T>) {
+      // Heap values never move: growth and shard moves shift pointers.
+      EXPECT_EQ(T::constructed, static_cast<int64_t>(kKeys));
+    }
+  }  // Both stores destroyed.
+  EXPECT_EQ(T::live, 0);
+}
+
+TEST(StateTableTest, InSlotValuesDestroyedExactlyOnce) {
+  ExpectEachValueDestroyedOnce<InSlotCounted>();
+}
+
+TEST(StateTableTest, OversizedHeapValuesDestroyedExactlyOnce) {
+  ExpectEachValueDestroyedOnce<BigCounted>();
+}
+
+TEST(StateTableTest, ThrowingMoveHeapValuesDestroyedExactlyOnce) {
+  ExpectEachValueDestroyedOnce<ThrowingMoveCounted>();
+}
+
+TEST(StateTableTest, IterationYieldsEachKeyOnceWithValueCopies) {
+  StateTable table;
+  EXPECT_EQ(table.begin(), table.end());
+  for (uint64_t k = 0; k < 1000; ++k) {
+    *table.FindOrCreate<int64_t>(k * 3).first = static_cast<int64_t>(k);
+  }
+  std::map<StateKey, int64_t> seen;
+  for (const auto& [key, value] : table) {
+    const int64_t* counter = std::any_cast<int64_t>(&value);
+    ASSERT_NE(counter, nullptr);
+    EXPECT_TRUE(seen.emplace(key, *counter).second) << "key " << key;
+  }
+  ASSERT_EQ(seen.size(), 1000u);
+  for (const auto& [key, counter] : seen) {
+    EXPECT_EQ(key, static_cast<StateKey>(counter) * 3);
+  }
+}
+
+TEST(StateTableDeathTest, TypeMismatchChecks) {
+  ProcessStateStore store;
+  ASSERT_TRUE(store.CreateShard(0, 0).ok());
+  StateAccessor a(&store, 0, 1);
+  a.GetOrCreate<int64_t>();
+  EXPECT_DEATH(a.GetOrCreate<double>(), "state type mismatch");
+  EXPECT_DEATH(a.GetOrCreate<BigCounted>(), "state type mismatch");
+}
+
+// ---- ProcessStateStore / StateAccessor ----
 
 TEST(StateStoreTest, CreateAndAccount) {
   ProcessStateStore store;
@@ -91,6 +246,13 @@ TEST(DirtyTrackerTest, DedupesKeysAndAccumulatesGrowth) {
   EXPECT_EQ(tracker.dirty_keys(), 2u);
   EXPECT_EQ(tracker.dirty_bytes(), 158);
   EXPECT_EQ(tracker.writes(), 3);
+}
+
+TEST(DirtyTrackerTest, ShrinkNeverCancelsFirstWriteBytes) {
+  DirtyTracker tracker;
+  tracker.OnWrite(1, 100);
+  tracker.OnGrow(-500);  // An entry losing bytes ships nothing extra.
+  EXPECT_EQ(tracker.dirty_bytes(), 100);
 }
 
 TEST(StateAccessorTest, WritesFeedAttachedDirtyTracker) {
@@ -249,6 +411,49 @@ TEST(MigrationEngineTest, DirtyDeltaReplayedUnderConcurrentWrites) {
   for (int i = 0; i < 5; ++i) {
     StateAccessor a(&rig.dst, 9, 100 + i);
     EXPECT_EQ(*a.GetOrCreate<int64_t>(), 1000 + i);
+  }
+}
+
+// Regression: an entry that shrinks while its shard pre-copies (an SSE
+// order book losing price levels) drove the dirty delta negative, so
+// Finalize recorded a negative delta_bytes and bytes_shipped() went down.
+TEST(MigrationEngineTest, ShrinkDuringPrecopyKeepsDeltaNonNegative) {
+  MigrationConfig cfg;
+  cfg.strategy = MigrationStrategy::kChunkedLive;
+  cfg.chunk_bytes = 16 * kKiB;
+  MigrationRig rig(cfg);
+  ASSERT_TRUE(rig.src.CreateShard(5, 64 * kKiB).ok());
+  {
+    StateAccessor a(&rig.src, 5, /*key=*/1);
+    a.GetOrCreate<int64_t>();
+    a.AddBytes(4096);  // A large entry before the move starts.
+  }
+  std::vector<int64_t> shipped;
+  auto sample = [&]() { shipped.push_back(rig.engine.bytes_shipped()); };
+  // Pre-copy takes ~70 ms at 1 MB/s; the entry shrinks 10 ms in.
+  auto handle = rig.engine.Begin(&rig.src, 5, /*from=*/0, /*to=*/1, 0.0,
+                                 nullptr);
+  rig.sim.After(Millis(10), [&rig]() {
+    StateAccessor a(&rig.src, 5, /*key=*/1);
+    a.GetOrCreate<int64_t>();
+    a.AddBytes(-4096);
+  });
+  for (int ms = 5; ms <= 100; ms += 5) rig.sim.After(Millis(ms), sample);
+  rig.sim.RunAll();
+  ASSERT_TRUE(handle->precopy_done());
+
+  MigrationStats stats;
+  rig.engine.Finalize(handle, &rig.dst,
+                      [&](const MigrationStats& s) { stats = s; });
+  sample();
+  rig.sim.RunAll();
+  sample();
+  const int64_t per_entry = static_cast<int64_t>(sizeof(int64_t)) +
+                            StateAccessor::kEntryOverheadBytes;
+  EXPECT_EQ(stats.delta_bytes, per_entry);  // The first write still ships.
+  EXPECT_EQ(stats.moved_bytes, stats.precopy_bytes + per_entry);
+  for (size_t i = 1; i < shipped.size(); ++i) {
+    EXPECT_GE(shipped[i], shipped[i - 1]) << "sample " << i;
   }
 }
 
