@@ -170,15 +170,12 @@ Status NativeRuntime::Setup() {
       auto eo = std::make_unique<ElasticOp>();
       const int num_shards = part->num_shards();
       eo->owner = std::vector<std::atomic<int32_t>>(num_shards);
-      eo->held = std::vector<std::atomic<uint8_t>>(num_shards);
       eo->processed = std::vector<std::atomic<int64_t>>(num_shards);
       eo->busy_ticks = std::vector<std::atomic<int64_t>>(num_shards);
-      eo->balance_prev.assign(num_shards, 0);
       eo->balance_prev_busy.assign(num_shards, 0);
       for (int s = 0; s < num_shards; ++s) {
         eo->owner[s].store(part->ExecutorOfShard(s),
                            std::memory_order_relaxed);
-        eo->held[s].store(0, std::memory_order_relaxed);
         eo->processed[s].store(0, std::memory_order_relaxed);
         eo->busy_ticks[s].store(0, std::memory_order_relaxed);
       }
@@ -316,14 +313,11 @@ void NativeRuntime::WaitDrained() {
   if (has_timed_work_) {
     // Elastic migrations, trace sources and the retirement pump are driven
     // by the backend's timer wheel, and timers only fire inside RunUntil —
-    // pump it until every thread is gone AND no migration is still in
-    // flight. The second condition matters for moves requested after the
-    // dataflow drained: with every worker exited those are driver-driven,
-    // and their paced pre-copy chunks and labeling callback only fire
-    // here. (Each RunUntil call sleeps through one 1 ms window, so this is
-    // a condvar-paced wait, not a spin.)
-    while (live_threads_.load(std::memory_order_acquire) > 0 ||
-           MigrationsPending()) {
+    // pump it until every thread is gone. An in-flight move keeps both of
+    // its endpoints in their epilogue, so this also waits for every move.
+    // (Each RunUntil call sleeps through one 1 ms window, so this is a
+    // condvar-paced wait, not a spin.)
+    while (live_threads_.load(std::memory_order_acquire) > 0) {
       backend_->RunUntil(backend_->now() + Millis(1));
     }
   }
@@ -349,10 +343,11 @@ bool NativeRuntime::EmitTo(Producer* p, ProducerPort* port, const Tuple& t) {
     // Two-tier routing (paper §3.2): key -> shard by hash, shard -> worker
     // through the live routing table. The acquire pairs with the release
     // store in BeginLabeling: a producer that sees the new owner routes to
-    // a worker guaranteed to see `held` raised.
+    // a worker guaranteed to see the flip's kHeld.
     const ShardId shard = port->part->ShardOf(t.key);
-    wi = static_cast<size_t>(elastic_ops_[port->to_op]->owner[shard].load(
-        std::memory_order_acquire));
+    wi = static_cast<size_t>(OwnerOf(
+        elastic_ops_[port->to_op]->owner[shard].load(
+            std::memory_order_acquire)));
   } else {
     wi = static_cast<size_t>(port->part->ExecutorOfKey(t.key));
   }
@@ -511,13 +506,12 @@ void NativeRuntime::ProcessTuple(Worker* w, const OperatorSpec& spec,
   ElasticOp* eo = nullptr;
   if (elastic_) {
     eo = elastic_ops_[w->op].get();
-    // Hold only as the *destination* of an in-flight move (held raised and
-    // the routing already points here). The old owner keeps processing the
-    // shard's pre-flip backlog while held is raised — that drain is what
-    // the labeling barrier waits for.
-    if (eo->held[shard].load(std::memory_order_acquire) != 0 &&
-        eo->owner[shard].load(std::memory_order_relaxed) ==
-            static_cast<int32_t>(w->index)) {
+    // Hold only as the *destination* of an in-flight move (the word names
+    // this worker with kHeld). The old owner keeps processing the shard's
+    // pre-flip backlog meanwhile — that drain is what the labeling barrier
+    // waits for.
+    if (eo->owner[shard].load(std::memory_order_acquire) ==
+        (static_cast<int32_t>(w->index) | kHeld)) {
       w->hold[shard].push_back(t);
       return;
     }
@@ -699,8 +693,6 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
     return Status::InvalidArgument("destination worker out of range");
   }
   Worker* src = nullptr;
-  int64_t label_id = -1;
-  bool drive_inline = false;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     if (teardown_) return Status::FailedPrecondition("tearing down");
@@ -708,7 +700,7 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
       return Status::FailedPrecondition("shard already in transition");
     }
     ElasticOp* eo = elastic_ops_[op].get();
-    const int from = eo->owner[shard].load(std::memory_order_relaxed);
+    const int from = OwnerOf(eo->owner[shard].load(std::memory_order_relaxed));
     if (from == to_worker) return Status::OK();  // Already there.
     src = worker_at(op, from);
     Worker* dst = worker_at(op, to_worker);
@@ -718,38 +710,26 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
       // retirement pump both rely on this rejection.
       return Status::FailedPrecondition("destination worker is retiring");
     }
-    if ((src->departing && !src->exited) ||
-        (dst->departing && !dst->exited)) {
-      // Narrow shutdown window: the endpoint committed to exit but its
-      // ports aren't closed yet, so neither the live protocol (it will
-      // never poll again) nor the driver-driven path (its ports are still
-      // hot) can run. The caller just lost the race with drain-down.
-      return Status::FailedPrecondition("endpoint worker is draining");
+    if (src->departing || dst->departing) {
+      // The endpoint committed to exit: it will never poll again, so no
+      // protocol step could run on it (every move after the drain lands
+      // here).
+      return Status::FailedPrecondition("endpoint worker is exiting");
     }
     auto m = std::make_unique<Migration>();
-    label_id = next_label_id_++;
+    const int64_t label_id = next_label_id_++;
     m->label_id = label_id;
     m->op = op;
     m->shard = shard;
     m->from = from;
     m->to = to_worker;
     m->requested_at = backend_->now();
-    drive_inline = src->exited;
-    if (drive_inline) m->phase = MigPhase::kPrecopying;
     in_transition_.insert({op, shard});
     migrations_.emplace(label_id, std::move(m));
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
-  if (drive_inline) {
-    // The old owner's thread is gone (post-drain reshuffle): its store is
-    // quiescent and its producers all closed, so the caller's thread can
-    // run the source-side duties directly — the protocol degenerates to a
-    // synchronous handoff (or a paced one driven by the timer wheel).
-    StartPrecopy(src, label_id);
-  } else {
-    src->input->Kick();  // An idle owner must wake up to claim the move.
-  }
+  src->input->Kick();  // An idle owner must wake up to claim the move.
   return Status::OK();
 }
 
@@ -946,7 +926,7 @@ bool NativeRuntime::PumpRetirement() {
         kicks.push_back(victim->input.get());
         std::vector<int> shards;
         for (int s = 0; s < num_shards; ++s) {
-          if (eo->owner[s].load(std::memory_order_relaxed) ==
+          if (OwnerOf(eo->owner[s].load(std::memory_order_relaxed)) ==
                   victim->index &&
               in_transition_.count({op, s}) == 0) {
             shards.push_back(s);
@@ -997,7 +977,7 @@ bool NativeRuntime::RetireReady(Worker* w) {
   ElasticOp* eo = elastic_ops_[w->op].get();
   const int num_shards = static_cast<int>(eo->owner.size());
   for (int s = 0; s < num_shards; ++s) {
-    if (eo->owner[s].load(std::memory_order_relaxed) == w->index) {
+    if (OwnerOf(eo->owner[s].load(std::memory_order_relaxed)) == w->index) {
       return false;
     }
   }
@@ -1035,43 +1015,37 @@ void NativeRuntime::StartPrecopy(Worker* w, int64_t label_id) {
     m->handle = std::move(handle);
     // BeginLabeling may have run synchronously inside Begin (free handoff)
     // and found the drain already satisfied; it could not finalize without
-    // the handle, so the baton comes back here. An unarmed drain on a live
-    // worker is NOT satisfied yet — its channel backlog stands in for the
-    // barrier and the epilogue finalizes once that backlog is consumed.
-    finalize_now =
-        m->phase == MigPhase::kDrained && (m->barrier_armed || w->exited);
+    // the handle, so the baton comes back here. An unarmed drain is NOT
+    // satisfied yet — the channel backlog stands in for the barrier and
+    // the epilogue finalizes once that backlog is consumed.
+    finalize_now = m->phase == MigPhase::kDrained && m->barrier_armed;
   }
   if (finalize_now) DrainComplete(w, label_id);
 }
 
 void NativeRuntime::BeginLabeling(int64_t label_id) {
-  Worker* exited_src = nullptr;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     auto it = migrations_.find(label_id);
     if (it == migrations_.end()) return;
     Migration* m = it->second.get();
     ElasticOp* eo = elastic_ops_[m->op].get();
-    // The flip: raise held first (relaxed), then publish the new owner
-    // with release. Producers acquire-load the owner; the channel mutex
-    // then carries the edge to the destination, whose acquire-load of
-    // held therefore cannot miss it for any tuple routed post-flip.
+    // The flip: one release store of the new owner with kHeld. Producers
+    // acquire-load the word; the channel mutex then carries the edge to
+    // the destination, which therefore holds every tuple routed post-flip
+    // until the install. The old owner never reads its own index | kHeld.
     m->flip_at = backend_->now();
-    eo->held[m->shard].store(1, std::memory_order_relaxed);
-    eo->owner[m->shard].store(m->to, std::memory_order_release);
+    eo->owner[m->shard].store(m->to | kHeld, std::memory_order_release);
     m->barrier_armed = barrier_.Arm(label_id, eo->open_producers);
     if (m->barrier_armed) {
       m->phase = MigPhase::kLabeling;
       label_cmds_.push_back({m->op, m->from, label_id});
     } else {
       // No open producers: the backlog is whatever already sits in the old
-      // owner's channel. If that thread exited the drain is vacuous and
-      // runs here; otherwise finalization waits for the worker's epilogue
+      // owner's channel. Finalization waits for the worker's epilogue
       // (channel exhausted), so the backlog is consumed before the shard
       // is extracted.
       m->phase = MigPhase::kDrained;
-      Worker* src = worker_at(m->op, m->from);
-      if (src->exited) exited_src = src;
     }
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
@@ -1082,7 +1056,6 @@ void NativeRuntime::BeginLabeling(int64_t label_id) {
   // this command was published are covered (they owe no duty for it —
   // their cmd_cursor starts past it — but the wake-up is harmless).
   ForEachWorker([](Worker* w) { w->input->Kick(); });
-  if (exited_src != nullptr) DrainComplete(exited_src, label_id);
 }
 
 void NativeRuntime::OnLabel(Worker* w, int64_t label_id) {
@@ -1132,7 +1105,6 @@ void NativeRuntime::DrainComplete(Worker* w, int64_t label_id) {
 }
 
 void NativeRuntime::MigrationReady(int64_t label_id) {
-  Worker* exited_dst = nullptr;
   MpscChannel* dst_channel = nullptr;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
@@ -1140,17 +1112,11 @@ void NativeRuntime::MigrationReady(int64_t label_id) {
     if (it == migrations_.end()) return;
     Migration* m = it->second.get();
     m->phase = MigPhase::kReady;
-    Worker* dst = worker_at(m->op, m->to);
-    if (dst->exited) {
-      exited_dst = dst;  // Quiescent: install from this thread.
-    } else {
-      dst_channel = dst->input.get();
-    }
+    dst_channel = worker_at(m->op, m->to)->input.get();
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
-  if (dst_channel != nullptr) dst_channel->Kick();
-  if (exited_dst != nullptr) InstallMigratedShard(exited_dst, label_id);
+  dst_channel->Kick();
 }
 
 void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
@@ -1177,9 +1143,10 @@ void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
     replay = std::move(hold->second);
     w->hold.erase(hold);
   }
-  // Lower held before replaying: ProcessTuple must not re-hold, and new
+  // Clear kHeld before replaying: ProcessTuple must not re-hold, and new
   // arrivals may interleave behind the replay in channel order.
-  elastic_ops_[m->op]->held[m->shard].store(0, std::memory_order_release);
+  elastic_ops_[m->op]->owner[m->shard].store(m->to,
+                                            std::memory_order_release);
   const OperatorSpec& spec = topology_->spec(w->op);
   for (const Tuple& t : replay) ProcessTuple(w, spec, t);
   PublishWorkerCounters(w);
@@ -1265,7 +1232,6 @@ void NativeRuntime::UpdateWorkerSpeeds(OperatorId op, ElasticOp* eo) {
 }
 
 void NativeRuntime::BalanceTick() {
-  const bool wall_busy = config_->native.balance.use_wall_busy;
   for (OperatorId op = 0;
        op < static_cast<OperatorId>(elastic_ops_.size()); ++op) {
     ElasticOp* eo = elastic_ops_[op].get();
@@ -1290,30 +1256,18 @@ void NativeRuntime::BalanceTick() {
     std::vector<double> load(num_shards);
     std::vector<int> assignment(num_shards);
     for (int s = 0; s < num_shards; ++s) {
-      assignment[s] = eo->owner[s].load(std::memory_order_relaxed);
-      if (wall_busy) {
-        // Shard load in speed-independent work units: measured busy time
-        // on the owner, scaled by the owner's measured speed (a slow
-        // worker needs more wall time for the same work — without the
-        // scaling, shards would look heavier merely for sitting on a
-        // straggler, double-counting what the capacity vector already
-        // models).
-        const int64_t cur = CycleClock::ToNs(
-            eo->busy_ticks[s].load(std::memory_order_relaxed));
-        const double delta =
-            static_cast<double>(cur - eo->balance_prev_busy[s]);
-        eo->balance_prev_busy[s] = cur;
-        const int owner = assignment[s];
-        load[s] = delta * (owner >= 0 && owner < slots ? capacity[owner]
-                                                       : 1.0);
-      } else {
-        // Legacy signal: raw processed-count deltas (flat per-tuple cost
-        // assumption; native.balance.use_wall_busy=false).
-        const int64_t cur =
-            eo->processed[s].load(std::memory_order_relaxed);
-        load[s] = static_cast<double>(cur - eo->balance_prev[s]);
-        eo->balance_prev[s] = cur;
-      }
+      assignment[s] = OwnerOf(eo->owner[s].load(std::memory_order_relaxed));
+      // Shard load in speed-independent work units: measured busy time on
+      // the owner, scaled by the owner's measured speed (a slow worker
+      // needs more wall time for the same work — without the scaling,
+      // shards would look heavier merely for sitting on a straggler,
+      // double-counting what the capacity vector already models).
+      const int64_t cur = CycleClock::ToNs(
+          eo->busy_ticks[s].load(std::memory_order_relaxed));
+      const double delta = static_cast<double>(cur - eo->balance_prev_busy[s]);
+      eo->balance_prev_busy[s] = cur;
+      const int owner = assignment[s];
+      load[s] = delta * (owner < slots ? capacity[owner] : 1.0);
     }
     const auto moves = balance::PlanMoves(
         load, &assignment, slots, config_->native.balance.theta,
@@ -1361,7 +1315,7 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
         ShardTelemetry st;
         st.op = op;
         st.shard = s;
-        st.owner = eo->owner[s].load(std::memory_order_relaxed);
+        st.owner = OwnerOf(eo->owner[s].load(std::memory_order_relaxed));
         st.busy_ns = CycleClock::ToNs(
             eo->busy_ticks[s].load(std::memory_order_relaxed));
         st.processed = eo->processed[s].load(std::memory_order_relaxed);
@@ -1388,7 +1342,8 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
 // ---------------------------------------------------------------------------
 
 int NativeRuntime::shard_owner(OperatorId op, ShardId shard) const {
-  return elastic_ops_.at(op)->owner.at(shard).load(std::memory_order_acquire);
+  return OwnerOf(
+      elastic_ops_.at(op)->owner.at(shard).load(std::memory_order_acquire));
 }
 
 int64_t NativeRuntime::reassignments_done() const {
@@ -1399,13 +1354,6 @@ int64_t NativeRuntime::reassignments_done() const {
 int64_t NativeRuntime::migrations_in_flight() const {
   std::lock_guard<std::mutex> lock(ctrl_mu_);
   return static_cast<int64_t>(migrations_.size());
-}
-
-bool NativeRuntime::MigrationsPending() const {
-  if (!elastic_) return false;
-  std::lock_guard<std::mutex> lock(ctrl_mu_);
-  // Emergency teardown abandons in-flight migrations; don't wait on them.
-  return !teardown_ && !migrations_.empty();
 }
 
 std::vector<SimDuration> NativeRuntime::migration_pauses() const {
@@ -1482,8 +1430,8 @@ ShardId NativeRuntime::shard_of_key(OperatorId op, uint64_t key) const {
 
 int NativeRuntime::worker_of_shard(OperatorId op, ShardId shard) const {
   if (elastic_) {
-    return elastic_ops_.at(op)->owner.at(shard).load(
-        std::memory_order_acquire);
+    return OwnerOf(elastic_ops_.at(op)->owner.at(shard).load(
+        std::memory_order_acquire));
   }
   return partitions_.at(op)->ExecutorOfShard(shard);
 }

@@ -26,9 +26,11 @@
 //   bit-identical).
 //
 // Elastic paradigm (paper §3.3 on real threads). Each non-source operator
-// carries a per-shard routing table of atomics (`ElasticOp::owner`);
-// producers route every tuple by shard owner. ReassignShard(op, shard, to)
-// drives the consistent-reassignment protocol across the worker threads:
+// carries a per-shard routing table of atomic words (`ElasticOp::owner`):
+// the owner worker's index, plus the kHeld bit while the shard's state is
+// in flight to that worker. Producers route every tuple by OwnerOf(word).
+// ReassignShard(op, shard, to) drives the consistent-reassignment protocol
+// between two live worker threads:
 //
 //   1. kRequested   — the move is posted on the control board; the source
 //                     worker is kicked awake.
@@ -38,37 +40,35 @@
 //                     (native.migration_copy_bytes_per_sec) while the
 //                     worker keeps processing the shard; a DirtyTracker
 //                     records what changes meanwhile.
-//   3. kLabeling    — pre-copy done: `owner[shard]` flips to the
-//                     destination (release store) and `held[shard]` is
-//                     raised; a labeling command is published and every
-//                     producer that feeds this operator pushes one label
-//                     marker into the *old* owner's channel, behind
-//                     everything it already routed there (the in-channel
-//                     barrier; see exec/label_barrier.h). New tuples route
-//                     to the destination, which buffers ("holds") them
-//                     because the shard's state is still in flight.
+//   3. kLabeling    — pre-copy done: one release store flips the shard's
+//                     word to `to | kHeld`; a labeling command is published
+//                     and every producer that feeds this operator pushes
+//                     one label marker into the *old* owner's channel,
+//                     behind everything it already routed there (the
+//                     in-channel barrier; see exec/label_barrier.h). New
+//                     tuples route to the destination, which buffers
+//                     ("holds") them because the shard's state is still in
+//                     flight.
 //   4. kDrained     — the old owner popped the last expected label: every
 //                     pre-flip tuple of the shard has been processed.
 //   5. kFinalizing  — MigrationEngine::Finalize ships the dirty delta into
 //                     a staging store (paced on the timer wheel when a copy
 //                     rate is set).
 //   6. kReady       — the destination worker is kicked, installs the shard
-//                     into its own store, replays the held tuples in
-//                     arrival order, and lowers `held`. No tuple is lost,
-//                     duplicated, or reordered within its (producer, key)
-//                     stream — native_elastic_stress_test pins this down
-//                     under TSan.
+//                     into its own store, stores the plain word `to`
+//                     (release), and replays the held tuples in arrival
+//                     order. No tuple is lost, duplicated, or reordered
+//                     within its (producer, key) stream —
+//                     native_elastic_stress_test pins this down under TSan.
 //
-// Memory-ordering contract of the routing flip: the publisher raises
-// `held` (relaxed) before flipping `owner` (release); producers load
-// `owner` (acquire) and the destination loads `held` (acquire) before
-// consulting `owner`. A producer that observes the new owner therefore
-// routes to a worker that is guaranteed to observe `held` for any tuple it
-// receives from that producer (the channel's internal mutex provides the
-// edge between producer and consumer), so the destination can never
-// process a post-flip tuple before the state arrives. The old owner keeps
-// processing the shard while `owner != my_index` tuples drain — the hold
-// test is `held && owner == my_index`, destination-only on purpose.
+// Memory ordering: producers acquire-load the word; the channel's mutex
+// carries the edge from producer to consumer, so a worker that receives a
+// post-flip tuple observes the flip (or its own later install). A worker
+// holds a tuple only when the word reads exactly `my_index | kHeld`: the
+// old owner never matches it and keeps processing its pre-flip backlog.
+// Both endpoints of a move stay on duty in their epilogue until it lands,
+// and ReassignShard rejects an endpoint that has committed to exit, so
+// every protocol step runs on a live worker's own thread (or the timer).
 //
 // Resource-control plane (exec/telemetry.h + exec/worker_pool.h; the
 // runtime implements both and Engine binds them to the backend):
@@ -82,8 +82,7 @@
 //   per-worker measured speeds (EWMA of processed/busy, normalized to the
 //   fastest worker) into the capacity-aware balance::PlanMoves — a worker
 //   pinned to a busy core sheds shards even when raw tuple counts look
-//   even (set native.balance.use_wall_busy=false for the old
-//   processed-count diff).
+//   even.
 //
 // * Actuation. GrowWorkers(op, n) adds threads at runtime: each new worker
 //   takes a pre-reserved slot (native.max_workers_per_operator), registers
@@ -205,10 +204,9 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Initiates the consistent live reassignment of `shard` of operator
   /// `op` to worker thread `to_worker`. Asynchronous: returns once the move
   /// is posted (kRequested). No-op OK when the shard already lives there;
-  /// fails while another move of the same shard is in flight, and when the
-  /// destination is retiring. Callable any time between Start() and
-  /// WaitDrained() — a shard whose worker threads already exited moves
-  /// synchronously.
+  /// fails while another move of the same shard is in flight, when the
+  /// destination is retiring, and when either endpoint has committed to
+  /// exit (so every move after the drain is rejected).
   Status ReassignShard(OperatorId op, ShardId shard, int to_worker);
 
   /// Current owner worker of a shard (acquire load; callable while live).
@@ -319,8 +317,7 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     /// Shutdown handshake, guarded by ctrl_mu_. `departing` is set
     /// atomically with the epilogue's final no-pending-migrations check
     /// (ReassignShard rejects a departing endpoint — the worker will never
-    /// poll again); `exited` is set once the ports are closed, after which
-    /// the driver may touch the worker's store/ports directly.
+    /// poll again); `exited` is set once the ports are closed.
     bool departing = false;
     bool exited = false;
     std::thread thread;
@@ -341,17 +338,22 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     std::thread thread;
   };
 
+  /// Routing-word flag: the shard's state is still in flight to the worker
+  /// the word names, which holds its tuples until the install.
+  static constexpr int32_t kHeld = 1 << 30;
+  /// Worker index a routing word names (flag masked off).
+  static int OwnerOf(int32_t word) { return word & ~kHeld; }
+
   /// Per-operator elastic routing state. The atomics are the hot-path
   /// routing table; everything else about a move lives in `migrations_`
   /// under ctrl_mu_.
   struct ElasticOp {
-    std::vector<std::atomic<int32_t>> owner;    // Shard -> worker index.
-    std::vector<std::atomic<uint8_t>> held;     // Shard state in flight.
+    /// Shard -> owner worker index, | kHeld while its state is in flight.
+    std::vector<std::atomic<int32_t>> owner;
     std::vector<std::atomic<int64_t>> processed;   // Per-shard tuple counts.
     std::vector<std::atomic<int64_t>> busy_ticks;  // Per-shard wall-busy.
-    // Driver-local balance snapshots (sized to the slot reservation).
-    std::vector<int64_t> balance_prev;       // Last processed sample.
-    std::vector<int64_t> balance_prev_busy;  // Last busy-ns sample.
+    // Driver-local balance snapshot: last per-shard busy-ns sample.
+    std::vector<int64_t> balance_prev_busy;
     /// Measured relative per-worker speed EWMA in [0, 1] (1 = fastest;
     /// 0 = never observed, treated as nominal). Guarded by ctrl_mu_.
     std::vector<double> speed_ewma;
@@ -437,8 +439,7 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Worker shutdown: wait until no in-flight migration references this
   /// worker (its duties may still be pending while its channel is drained).
   void WorkerEpilogue(Worker* w);
-  /// Driver balance tick: per-shard measured wall-busy deltas (or
-  /// processed-count deltas when use_wall_busy is off) + per-worker
+  /// Driver balance tick: per-shard measured wall-busy deltas + per-worker
   /// measured capacities -> capacity-aware PlanMoves -> ReassignShard.
   void BalanceTick();
   /// Updates the per-worker speed EWMAs of one operator from the published
@@ -453,9 +454,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// no in-flight migration references it (the channel then provably
   /// contains nothing the protocol still needs — see ShrinkWorkers).
   bool RetireReady(Worker* w);
-  /// True while WaitDrained must keep pumping the timer wheel for
-  /// driver-driven migrations (moves requested after every worker exited).
-  bool MigrationsPending() const;
 
   /// Routes one tuple into the port's partial batch for its destination
   /// worker, pushing the batch when full. Returns false iff the channel was

@@ -456,7 +456,8 @@ TEST(MpscChannelTest, BarrierDrainsAcrossProducerClose) {
 }
 
 // ---------------------------------------------------------------------------
-// Resource-control plane units: config shape, telemetry clock, affinity shim.
+// Resource-control plane units: channel growth, telemetry clock, affinity
+// shim.
 // ---------------------------------------------------------------------------
 
 TEST(MpscChannelTest, AddProducerKeepsChannelOpenAcrossOriginalClose) {
@@ -469,49 +470,6 @@ TEST(MpscChannelTest, AddProducerKeepsChannelOpenAcrossOriginalClose) {
   EXPECT_FALSE(channel.exhausted());
   channel.CloseProducer();
   EXPECT_TRUE(channel.exhausted());
-}
-
-TEST(NativeOptionsTest, DeprecatedFlatAliasesReadAndWriteNestedFields) {
-  NativeOptions options;
-  options.batch_tuples = 7;                  // Old name...
-  EXPECT_EQ(options.data_path.batch_tuples, 7);  // ...new storage.
-  options.data_path.channel_capacity_batches = 9;
-  EXPECT_EQ(options.channel_capacity_batches, 9);
-  options.balance_period_ns = Millis(3);
-  EXPECT_EQ(options.balance.period_ns, Millis(3));
-  options.balance.theta = 1.5;
-  EXPECT_DOUBLE_EQ(options.balance_theta, 1.5);
-  options.balance_max_moves = 5;
-  EXPECT_EQ(options.balance.max_moves, 5);
-  // The deprecated type name still compiles.
-  NativeRuntimeOptions legacy;
-  EXPECT_EQ(legacy.data_path.batch_tuples, 64);
-}
-
-TEST(NativeOptionsTest, CopiesAreIndependentDespiteReferenceAliases) {
-  NativeOptions a;
-  a.batch_tuples = 11;
-  a.balance.theta = 2.0;
-  NativeOptions b = a;  // Copy ctor must NOT alias a's nested fields.
-  b.batch_tuples = 13;
-  b.balance_theta = 3.0;
-  EXPECT_EQ(a.data_path.batch_tuples, 11);
-  EXPECT_EQ(b.data_path.batch_tuples, 13);
-  EXPECT_DOUBLE_EQ(a.balance.theta, 2.0);
-  EXPECT_DOUBLE_EQ(b.balance.theta, 3.0);
-  NativeOptions c;
-  c = a;  // Assignment likewise copies values, not bindings.
-  c.channel_capacity_batches = 5;
-  EXPECT_EQ(a.data_path.channel_capacity_batches, 64);
-  EXPECT_EQ(c.data_path.channel_capacity_batches, 5);
-  // EngineConfig (which embeds NativeOptions) stays copyable — benches copy
-  // a base config per row.
-  EngineConfig base;
-  base.native.batch_tuples = 21;
-  EngineConfig row = base;
-  row.native.batch_tuples = 22;
-  EXPECT_EQ(base.native.data_path.batch_tuples, 21);
-  EXPECT_EQ(row.native.data_path.batch_tuples, 22);
 }
 
 TEST(CycleClockTest, TicksAdvanceAndConvertToPlausibleNs) {

@@ -230,10 +230,56 @@ TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
   EXPECT_GT(grown_seen, 0);
 }
 
-TEST(NativeElasticStressTest, MovesAfterDrainStillRelocateState) {
-  // After the dataflow quiesced the worker threads are gone; ReassignShard
-  // falls back to the driver-driven synchronous path. Sweep every shard to
-  // worker 0 and verify the consolidated stores.
+TEST(NativeElasticStressTest, HotShardPingPongConservesEveryTuple) {
+  // Regression test for the routing flip. One key, so every tuple belongs
+  // to a shard that never stops moving, and a paced copy, so the flip runs
+  // on the timer thread while the old owner is still processing the shard.
+  // The old owner must never take itself for the destination and hold a
+  // pre-flip tuple, which only a later install would replay (out of order)
+  // or none would (lost).
+  constexpr int64_t kTargetMoves = 2000;
+  MicroOptions options;
+  options.num_keys = 1;
+  options.tuple_bytes = 64;
+  options.shard_state_bytes = 2 << 10;
+  options.generator_executors = 2;
+  options.calculator_executors = 2;
+  options.shards_per_executor = 2;
+  options.mode = SourceSpec::Mode::kSaturation;
+  MicroWorkload workload = BuildMicroWorkload(options, /*seed=*/53).value();
+  workload.topology.mutable_spec(workload.generator).source.max_tuples = 0;
+  EngineConfig config = StressConfig();
+  config.native.workers_per_operator = 2;
+  Engine engine(workload.topology, config);
+  ASSERT_TRUE(engine.Setup().ok());
+  engine.Start();
+
+  exec::NativeRuntime* native = engine.native();
+  const OperatorId calc = workload.calculator;
+  const int shards = native->num_shards(calc);
+  int rounds = 0;
+  while (native->reassignments_done() < kTargetMoves) {
+    ASSERT_LT(rounds++, 40000) << "ping-pong stalled: "
+                               << native->reassignments_done() << " moves";
+    engine.RunFor(Micros(100));
+    for (int s = 0; s < shards; ++s) {
+      // Shards still in transition reject the move and go next round.
+      (void)native->ReassignShard(calc, s, 1 - native->shard_owner(calc, s));
+    }
+  }
+  engine.StopSources();
+  engine.RunToCompletion();
+
+  const int64_t emitted = native->source_emitted();
+  EXPECT_GT(emitted, 0);
+  EXPECT_EQ(native->sink_count(), emitted);
+  EXPECT_EQ(engine.order_violations(), 0);
+  EXPECT_EQ(native->migrations_in_flight(), 0);
+}
+
+TEST(NativeElasticStressTest, MovesAfterDrainAreRejected) {
+  // A move needs two live endpoints: once the dataflow drained every worker
+  // thread is gone, so ReassignShard refuses and routing stays put.
   MicroWorkload workload = BuildStressWorkload(/*seed=*/31);
   workload.topology.mutable_spec(workload.generator).source.max_tuples = 500;
   Engine engine(workload.topology, StressConfig());
@@ -243,38 +289,24 @@ TEST(NativeElasticStressTest, MovesAfterDrainStillRelocateState) {
 
   exec::NativeRuntime* native = engine.native();
   const OperatorId calc = workload.calculator;
+  const int workers = native->num_workers(calc);
+  const int64_t done = native->reassignments_done();
   for (int s = 0; s < native->num_shards(calc); ++s) {
-    ASSERT_TRUE(native->ReassignShard(calc, s, 0).ok());
-  }
-  // Paced copies still ride the timer wheel; pump 1 ms windows until the
-  // cohort lands (wall-clock scheduling jitter can push a chunk timer just
-  // past a single window's deadline on a loaded machine).
-  for (int pumps = 0; native->migrations_in_flight() > 0 && pumps < 200;
-       ++pumps) {
-    engine.RunFor(Millis(1));
+    const int owner = native->shard_owner(calc, s);
+    EXPECT_FALSE(native->ReassignShard(calc, s, (owner + 1) % workers).ok())
+        << "shard " << s;
+    EXPECT_EQ(native->shard_owner(calc, s), owner);
   }
   EXPECT_EQ(native->migrations_in_flight(), 0);
-  int64_t entries_on_zero = 0;
-  for (int s = 0; s < native->num_shards(calc); ++s) {
-    EXPECT_EQ(native->shard_owner(calc, s), 0);
-  }
-  native->worker_store(calc, 0)->ForEachShard(
-      [&](ShardId, const ShardState& state) {
-        entries_on_zero += static_cast<int64_t>(state.entries.size());
-      });
-  EXPECT_GT(entries_on_zero, 0);
-  for (int w = 1; w < native->num_workers(calc); ++w) {
-    native->worker_store(calc, w)->ForEachShard(
-        [&](ShardId shard, const ShardState&) {
-          ADD_FAILURE() << "shard " << shard << " left behind on worker "
-                        << w;
-        });
-  }
+  EXPECT_EQ(native->reassignments_done(), done);
+  EXPECT_EQ(native->sink_count(), 1000);  // 2 sources x 500.
+  EXPECT_EQ(engine.order_violations(), 0);
 }
 
 TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {
+  // Unbounded sources: the grow/shrink calls below need live workers and
+  // open producers, which a tuple budget could exhaust first.
   MicroWorkload workload = BuildStressWorkload(/*seed=*/43);
-  workload.topology.mutable_spec(workload.generator).source.max_tuples = 200;
   EngineConfig config = StressConfig();
   config.native.max_workers_per_operator = 5;  // 4 initial + 1 spare slot.
   Engine engine(workload.topology, config);
@@ -306,8 +338,16 @@ TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {
   ASSERT_TRUE(pool->ShrinkWorkers(calc, 4).ok());
   EXPECT_FALSE(pool->ShrinkWorkers(calc, 1).ok());  // 1 active left.
 
+  // Let tuples flow before closing the sources: stopping them right after
+  // Start can beat the source threads to their first emit.
+  for (int pumps = 0; engine.native()->source_emitted() == 0 && pumps < 2000;
+       ++pumps) {
+    engine.RunFor(Micros(200));
+  }
+  engine.StopSources();
   engine.RunToCompletion();
-  EXPECT_EQ(engine.native()->sink_count(), 400);  // 2 sources x 200.
+  EXPECT_GT(engine.native()->source_emitted(), 0);
+  EXPECT_EQ(engine.native()->sink_count(), engine.native()->source_emitted());
   EXPECT_EQ(engine.order_violations(), 0);
   // Everything evacuated onto the lone survivor.
   const exec::TelemetrySnapshot snap = engine.SampleTelemetry();

@@ -297,11 +297,10 @@ TEST(NativeEquivalenceTest, NativeRunsElasticParadigm) {
   EXPECT_EQ(native->sink_count(), kMicroSources * kMicroBudget);
   EXPECT_GT(native->reassignments_done(), 0);
   EXPECT_EQ(native->migrations_in_flight(), 0);
-  // Post-drain moves still work (worker threads have exited).
-  const int target = native->shard_owner(calc, 0) == 0 ? 1 : 0;
-  ASSERT_TRUE(native->ReassignShard(calc, 0, target).ok());
-  engine.RunFor(Millis(1));
-  EXPECT_EQ(native->shard_owner(calc, 0), target);
+  // Post-drain moves are rejected: the worker threads have exited.
+  const int owner = native->shard_owner(calc, 0);
+  EXPECT_FALSE(native->ReassignShard(calc, 0, owner == 0 ? 1 : 0).ok());
+  EXPECT_EQ(native->shard_owner(calc, 0), owner);
   EXPECT_EQ(native->migrations_in_flight(), 0);
 }
 
@@ -414,8 +413,8 @@ void ScriptNativeElasticMoves(Engine* engine, OperatorId op, int workers,
   for (int round = 0; round < rounds; ++round) {
     engine->RunFor(Micros(300));
     for (int s = 0; s < shards; ++s) {
-      // Shards still in transition (or whose endpoints are draining) skip a
-      // round; the sweep is best-effort by design.
+      // Shards still in transition (or whose endpoints are exiting) skip
+      // a round; the sweep is best-effort by design.
       (void)native->ReassignShard(op, s, (s + round) % workers);
     }
   }
