@@ -108,7 +108,7 @@ RowResult RunOne(int workers, int64_t tuples_per_source) {
 
   exec::NativeRuntime* native = engine.native();
   RowResult r;
-  r.tuples = native->total_processed();
+  r.tuples = engine.SampleTelemetry().total_processed;
   ELASTICUTOR_CHECK(r.tuples == kSources * tuples_per_source);
   r.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start)
@@ -171,12 +171,13 @@ ElasticResult RunElastic() {
   auto wall_end = std::chrono::steady_clock::now();
 
   ElasticResult r;
-  r.tuples = native->total_processed();
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  r.tuples = snap.total_processed;
   // Zero lost or duplicated tuples across every live move — the property
   // the labeling barrier exists to provide.
-  ELASTICUTOR_CHECK(r.tuples == native->source_emitted());
-  ELASTICUTOR_CHECK(native->sink_count() == r.tuples);
-  ELASTICUTOR_CHECK(native->migrations_in_flight() == 0);
+  ELASTICUTOR_CHECK(r.tuples == snap.source_emitted);
+  ELASTICUTOR_CHECK(snap.sink_count == r.tuples);
+  ELASTICUTOR_CHECK(snap.migrations_in_flight == 0);
   const double wall_s =
       std::chrono::duration<double>(wall_end - wall_start).count();
   r.wall_tps = wall_s > 0.0 ? static_cast<double>(r.tuples) / wall_s : 0.0;
@@ -282,9 +283,10 @@ SkewResult RunSkew(Paradigm paradigm, int64_t tuples_per_source) {
   auto wall_end = std::chrono::steady_clock::now();
 
   SkewResult r;
-  r.tuples = native->total_processed();
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  r.tuples = snap.total_processed;
   ELASTICUTOR_CHECK(r.tuples == kSources * tuples_per_source);
-  ELASTICUTOR_CHECK(native->sink_count() == r.tuples);
+  ELASTICUTOR_CHECK(snap.sink_count == r.tuples);
   r.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start)
           .count();

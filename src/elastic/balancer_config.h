@@ -17,36 +17,6 @@ struct BalancerConfig {
 
   /// How often each elastic executor evaluates its task balance.
   SimDuration interval_ns = Millis(250);
-
-  /// Safety valve on reassignments per balancing round. Large enough that
-  /// a freshly grown executor (e.g. 1 -> 256 cores) spreads its shards
-  /// within a few rounds; intra-process moves are nearly free anyway.
-  int max_moves_per_round = 512;
-
-  /// EWMA smoothing for per-shard load statistics.
-  double shard_load_alpha = 0.4;
-
-  /// Capacity-aware balancing: weight the planner by each task's observed
-  /// service rate (nominal work executed per wall-second busy), so shards
-  /// drain off a slow task — e.g. on an undetected straggler node — even
-  /// when raw load shares look balanced. Off = the paper's homogeneous
-  /// heuristic (kept for ablation).
-  bool capacity_aware = true;
-
-  /// EWMA smoothing for the per-task service-rate estimate.
-  double task_speed_alpha = 0.4;
-
-  /// Minimum busy time per balancing interval before a task's service-rate
-  /// observation updates the EWMA (less than this is measurement noise).
-  SimDuration task_speed_min_busy_ns = Millis(1);
-
-  /// Per-round drift of an *unobserved* task's speed estimate back toward
-  /// nominal. A task drained to zero shards accrues no busy time and would
-  /// otherwise keep its stuck-low estimate forever — permanently stranding
-  /// the core after the node heals. The drift makes the planner probe it
-  /// again; if the node is still slow the next observation pushes the
-  /// estimate right back down.
-  double task_speed_recovery = 0.05;
 };
 
 }  // namespace elasticutor

@@ -4,6 +4,41 @@
 
 namespace elasticutor {
 
+namespace {
+
+/// Per-task bound on outputs not yet accepted downstream (the flow-control
+/// window between a task and the executor's emitter daemon). Lets remote
+/// tasks pipeline processing with output transfer while still propagating
+/// back-pressure.
+constexpr int kTaskOutputCredit = 64;
+
+/// Safety valve on reassignments per balancing round. Large enough that a
+/// freshly grown executor (e.g. 1 -> 256 cores) spreads its shards within a
+/// few rounds; intra-process moves are nearly free anyway.
+constexpr int kMaxMovesPerRound = 512;
+
+/// EWMA smoothing for per-shard load statistics.
+constexpr double kShardLoadAlpha = 0.4;
+
+/// EWMA smoothing for the per-task service-rate estimate (nominal work
+/// executed per wall-second busy), which weights the planner so shards
+/// drain off a slow task even when raw load shares look balanced.
+constexpr double kTaskSpeedAlpha = 0.4;
+
+/// Minimum busy time per balancing interval before a task's service-rate
+/// observation updates the EWMA (less than this is measurement noise).
+constexpr SimDuration kTaskSpeedMinBusyNs = Millis(1);
+
+/// Per-round drift of an *unobserved* task's speed estimate back toward
+/// nominal. A task drained to zero shards accrues no busy time and would
+/// otherwise keep its stuck-low estimate forever — permanently stranding
+/// the core after the node heals. The drift makes the planner probe it
+/// again; if the node is still slow the next observation pushes the
+/// estimate right back down.
+constexpr double kTaskSpeedRecovery = 0.05;
+
+}  // namespace
+
 ElasticExecutor::ElasticExecutor(Runtime* rt, OperatorId op,
                                  ExecutorIndex index, NodeId home,
                                  ShardId first_shard, int num_shards)
@@ -141,7 +176,7 @@ void ElasticExecutor::TaskStartNext(const TaskPtr& task) {
           0, [this, task, label_id]() { OnLabel(task, label_id); });
       continue;
     }
-    if (task->outputs_outstanding >= rt_->config().task_output_credit) {
+    if (task->outputs_outstanding >= kTaskOutputCredit) {
       task->waiting_credit = true;  // Resumed when the emitter frees credit.
       return;
     }
@@ -150,7 +185,7 @@ void ElasticExecutor::TaskStartNext(const TaskPtr& task) {
     --total_queued_;
     task->busy = true;
     const OperatorSpec& spec = rt_->topology().spec(op_);
-    SimDuration nominal = SampleCost(spec, rt_->config(), t, &task->rng);
+    SimDuration nominal = SampleCost(spec, t, &task->rng);
     // Injected node slowdown (straggler / degraded node) stretches the
     // actual service time on this task's node; busy_ns includes it, so the
     // scheduler's µ estimate drops and it compensates with capacity.
@@ -278,7 +313,7 @@ void ElasticExecutor::ScheduleEmitterRetry() {
   // the single exit. Jittered like every back-pressure retry.
   emitter_flushing_ = true;
   SimDuration delay = static_cast<SimDuration>(
-      rt_->config().emit_retry_ns * (0.5 + rng_.NextDouble()));
+      kEmitRetryNs * (0.5 + rng_.NextDouble()));
   rt_->exec()->After(delay, [this]() {
     emitter_flushing_ = false;
     RunEmitter();
@@ -291,7 +326,7 @@ void ElasticExecutor::PopEmitted(size_t count) {
     emitter_queue_.pop_front();
     --task->outputs_outstanding;
     if (task->waiting_credit && !task->busy &&
-        task->outputs_outstanding < rt_->config().task_output_credit) {
+        task->outputs_outstanding < kTaskOutputCredit) {
       task->waiting_credit = false;
       TaskStartNext(task);
     }
@@ -405,9 +440,8 @@ Status ElasticExecutor::RemoveCore(NodeId node, EventFn done) {
     if (shard_task_[s] >= 0) slot_load[shard_task_[s]] += shard_load_[s];
   }
   std::vector<double> capacity = TaskCapacities();
-  auto plan = balance::PlanEvacuation(
-      shards, shard_load_, &slot_load, victim->id, allowed,
-      rt_->config().balancer.capacity_aware ? &capacity : nullptr);
+  auto plan = balance::PlanEvacuation(shards, shard_load_, &slot_load,
+                                      victim->id, allowed, &capacity);
   if (!plan.ok()) return plan.status();
   std::vector<balance::Move> moves = std::move(plan).value();
 
@@ -594,8 +628,8 @@ void ElasticExecutor::RunBalanceRound() {
         static_cast<double>(shard_cost_ns_[s] - shard_cost_prev_[s]) / 1e9 /
         interval_s;
     shard_cost_prev_[s] = shard_cost_ns_[s];
-    shard_load_[s] = cfg.shard_load_alpha * rate +
-                     (1.0 - cfg.shard_load_alpha) * shard_load_[s];
+    shard_load_[s] =
+        kShardLoadAlpha * rate + (1.0 - kShardLoadAlpha) * shard_load_[s];
   }
   RefreshTaskSpeeds();
   if (reassigns_in_progress_ > 0 || removals_in_progress_ > 0) return;
@@ -625,8 +659,7 @@ void ElasticExecutor::RunBalanceRound() {
   std::vector<int> assignment = shard_task_;
   std::vector<double> capacity = TaskCapacities();
   balance::PlanMoves(loads, &assignment, static_cast<int>(tasks_.size()),
-                     cfg.theta, cfg.max_moves_per_round, &frozen,
-                     cfg.capacity_aware ? &capacity : nullptr);
+                     cfg.theta, kMaxMovesPerRound, &frozen, &capacity);
   // Execute the final-assignment diff: one reassignment per shard, even if
   // the planner routed a shard through several intermediate slots.
   for (int s = 0; s < num_shards_; ++s) {
@@ -637,7 +670,6 @@ void ElasticExecutor::RunBalanceRound() {
 }
 
 void ElasticExecutor::RefreshTaskSpeeds() {
-  const BalancerConfig& cfg = rt_->config().balancer;
   for (const auto& t : tasks_) {
     if (!t) continue;
     int64_t dwork = t->work_ns - t->work_prev_ns;
@@ -650,13 +682,13 @@ void ElasticExecutor::RefreshTaskSpeeds() {
     // time, forever) gets probed with load again after its node heals; a
     // still-slow node pushes the estimate right back down on the next
     // observation.
-    if (dbusy < cfg.task_speed_min_busy_ns || dwork <= 0) {
-      t->speed += cfg.task_speed_recovery * (1.0 - t->speed);
+    if (dbusy < kTaskSpeedMinBusyNs || dwork <= 0) {
+      t->speed += kTaskSpeedRecovery * (1.0 - t->speed);
       continue;
     }
     double observed = static_cast<double>(dwork) / static_cast<double>(dbusy);
-    t->speed = std::max(1e-3, cfg.task_speed_alpha * observed +
-                                  (1.0 - cfg.task_speed_alpha) * t->speed);
+    t->speed = std::max(1e-3, kTaskSpeedAlpha * observed +
+                                  (1.0 - kTaskSpeedAlpha) * t->speed);
   }
 }
 
@@ -688,8 +720,7 @@ double ElasticExecutor::CurrentImbalance() const {
       caps.push_back(t->speed);
     }
   }
-  return balance::ImbalanceFactor(
-      loads, rt_->config().balancer.capacity_aware ? &caps : nullptr);
+  return balance::ImbalanceFactor(loads, &caps);
 }
 
 int ElasticExecutor::shards_on_task_count(NodeId node) const {

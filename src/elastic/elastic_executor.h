@@ -111,17 +111,14 @@ class ElasticExecutor : public ExecutorBase {
   /// a balanced but quiescent executor).
   void set_balancing_frozen(bool frozen) { balancing_frozen_ = frozen; }
 
-  /// Current imbalance factor δ over active tasks (capacity-normalized when
-  /// capacity-aware balancing is on).
+  /// Current imbalance factor δ over active tasks, each task's load
+  /// normalized by its measured service rate.
   double CurrentImbalance() const;
 
   /// Smoothed service-rate estimate (1.0 = nominal) of the slowest active
   /// task on `node`; 1.0 when the node hosts no task. Tests/benches use it
-  /// to observe straggler detection.
-  /// DEPRECATED as an introspection surface: prefer the backend-independent
-  /// Engine::SampleTelemetry() (WorkerTelemetry::speed carries the same
-  /// signal; see exec/telemetry.h). Kept for one release — the balancer
-  /// itself still consumes the estimate internally.
+  /// to observe straggler detection on any node; Engine::SampleTelemetry()
+  /// reports it for the executor's home node (WorkerTelemetry::speed).
   double TaskSpeedOn(NodeId node) const;
 
   // ---- Introspection (tests/benches) ----
@@ -202,7 +199,6 @@ class ElasticExecutor : public ExecutorBase {
 
   ShardId global_shard(int local) const { return first_shard_ + local; }
   const TaskPtr& task(int id) const { return tasks_.at(id); }
-  double EffectiveCostNs() const;
 
   /// Refreshes every task's service-rate EWMA from the cost counters
   /// accumulated since the last balance round.

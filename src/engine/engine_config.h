@@ -26,8 +26,8 @@ const char* ParadigmName(Paradigm p);
 
 /// Knobs of the native multithreaded runtime (exec/native_runtime.h); only
 /// read when `EngineConfig::backend == BackendKind::kNative`. Grouped by
-/// concern: the data path (batching/back-pressure), the balance policy
-/// (resource-control plane measurement loop) and thread placement.
+/// concern: the data path (batching/back-pressure) and the balance policy
+/// (resource-control plane measurement loop).
 struct NativeOptions {
   struct DataPathOptions {
     /// Tuples accumulated per cross-thread micro-batch (the native analog
@@ -52,16 +52,6 @@ struct NativeOptions {
     int max_moves = 2;
   };
 
-  /// Optional thread placement (exec/cpu_affinity.h shim; no-op off-Linux).
-  struct PinningOptions {
-    /// Pin every source/worker thread to its own CPU, round-robin over the
-    /// online CPU list. Grown workers are pinned from the same plan.
-    bool enabled = false;
-    /// Order the CPU list package-major so one operator's workers (and the
-    /// shards they own) fill a socket before spilling to the next.
-    bool numa_aware = false;
-  };
-
   /// Worker threads per non-source operator (0 = the operator's
   /// static_executors, or 1 when that is unset). Sources get one thread per
   /// source executor.
@@ -74,12 +64,11 @@ struct NativeOptions {
   /// (bytes/s). 0 = free handoff: the move is a pointer swap and pre-copy
   /// completes synchronously. Positive rates pace MigrationEngine's
   /// chunked pre-copy / delta shipment on the backend's timer wheel, the
-  /// native analog of StateLayerConfig::local_copy_bytes_per_sec.
+  /// native analog of the always-migrate backend's same-node copy rate.
   double migration_copy_bytes_per_sec = 0.0;
 
   DataPathOptions data_path;
   BalanceOptions balance;
-  PinningOptions pinning;
 };
 
 struct EngineConfig {
@@ -108,26 +97,12 @@ struct EngineConfig {
   /// tuple of a shard reassignment must drain behind (Fig 8's EC sync
   /// time), and what bounds steady-state latency.
   int task_queue_cap = 8;
-  /// Input-queue capacity of a static/RC single-threaded executor.
-  int executor_queue_cap = 256;
-  /// Retry delay when an emitter finds the target executor full or paused.
-  SimDuration emit_retry_ns = Micros(500);
-  /// Per-task bound on outputs not yet accepted downstream (the flow-control
-  /// window between a task and the executor's emitter daemon). Lets remote
-  /// tasks pipeline processing with output transfer while still propagating
-  /// back-pressure.
-  int task_output_credit = 64;
   /// Channel micro-batching: maximum CONSECUTIVE same-destination emissions
   /// coalesced into one network message / delivery event (see
   /// Runtime::RouteRun). 1 = tuple-at-a-time (the historical data path,
   /// byte-identical results); higher values amortize per-message overhead
   /// and scheduler events without reordering anything.
   int max_batch_tuples = 1;
-
-  // ---- Service times ----
-  /// Exponentially distributed per-tuple CPU cost (matches the M/M/k model);
-  /// false = deterministic.
-  bool exponential_service = true;
 
   // ---- Validation (tests) ----
   /// Track per-key arrival/processing order and state conservation.

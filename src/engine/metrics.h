@@ -147,13 +147,6 @@ class EngineMetrics {
   }
   const std::vector<ElasticityOp>& elasticity_ops() const { return ops_; }
 
-  /// Mean sink throughput (tuples/s) between two instants.
-  double MeanThroughput(SimTime from, SimTime to) const {
-    if (to <= from) return 0.0;
-    return static_cast<double>(sink_count_in_window(from, to)) /
-           ToSeconds(to - from);
-  }
-
   int64_t sink_count_in_window(SimTime from, SimTime to) const;
 
   /// Clears counters/histograms (benches call after warm-up). Time series

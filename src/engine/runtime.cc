@@ -176,7 +176,7 @@ void Runtime::FlushJobStep(FlushJob* job) {
       // Blocked: retry the remaining suffix later (jittered to avoid
       // synchronized herds). The emitter stays alive via the job.
       SimDuration delay = static_cast<SimDuration>(
-          config_->emit_retry_ns * (0.5 + rng_.NextDouble()));
+          kEmitRetryNs * (0.5 + rng_.NextDouble()));
       exec_->After(delay, FlushRetry{this, job});
       return;
     }

@@ -4,7 +4,7 @@
 //
 //   emitter --RouteRun--> [paused? full?] --Network::Send--> OnTupleBatch
 //
-// A blocked emitter retries after EngineConfig::emit_retry_ns; because a
+// A blocked emitter retries after ~kEmitRetryNs (jittered); because a
 // task does not start its next input until its current outputs are flushed,
 // back-pressure propagates upstream to the spouts (bounded queues
 // everywhere => bounded latency, §5.2).
@@ -38,6 +38,10 @@
 namespace elasticutor {
 
 class MigrationEngine;
+
+/// Mean back-off of a blocked emitter (spout, executor emitter, flush job);
+/// each retry waits a uniform [0.5, 1.5) multiple of it.
+inline constexpr SimDuration kEmitRetryNs = Micros(500);
 
 class Runtime {
  public:

@@ -2,10 +2,15 @@
 
 namespace elasticutor {
 
-SimDuration SampleCost(const OperatorSpec& spec, const EngineConfig& config,
-                       const Tuple& t, Rng* rng) {
+namespace {
+
+/// Input-queue capacity of a static/RC single-threaded executor.
+constexpr int64_t kExecutorQueueCap = 256;
+
+}  // namespace
+
+SimDuration SampleCost(const OperatorSpec& spec, const Tuple& t, Rng* rng) {
   if (spec.cost_fn) return spec.cost_fn(t, rng);
-  if (!config.exponential_service) return spec.mean_cost_ns;
   return static_cast<SimDuration>(
       rng->NextExponential(static_cast<double>(spec.mean_cost_ns)));
 }
@@ -39,8 +44,7 @@ SingleTaskExecutor::SingleTaskExecutor(Runtime* rt, OperatorId op,
       service_rng_(rt->rng()->Fork(MakeExecutorId(op, index))) {}
 
 bool SingleTaskExecutor::CanAccept() const {
-  return static_cast<int64_t>(queue_.size()) + reserved() <
-         rt_->config().executor_queue_cap;
+  return static_cast<int64_t>(queue_.size()) + reserved() < kExecutorQueueCap;
 }
 
 void SingleTaskExecutor::Admit(const Tuple& t) {
@@ -75,7 +79,7 @@ void SingleTaskExecutor::StartNext() {
   queue_.pop_front();
   metrics_.queued = static_cast<int64_t>(queue_.size());
   const OperatorSpec& spec = rt_->topology().spec(op_);
-  SimDuration cost = SampleCost(spec, rt_->config(), t, &service_rng_);
+  SimDuration cost = SampleCost(spec, t, &service_rng_);
   // Injected node slowdown (straggler / degraded node) stretches the actual
   // service time; busy_ns includes it, so measured µ drops accordingly.
   cost = static_cast<SimDuration>(

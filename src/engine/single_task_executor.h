@@ -102,8 +102,9 @@ void ApplyOperatorLogic(const Topology& topology, const OperatorSpec& spec,
                         ProcessStateStore* store, ShardId shard,
                         EmitContext* emit, Rng* rng);
 
-/// Samples the CPU cost of processing `t` under `spec`.
-SimDuration SampleCost(const OperatorSpec& spec, const EngineConfig& config,
-                       const Tuple& t, Rng* rng);
+/// Samples the CPU cost of processing `t` under `spec`: the operator's
+/// cost_fn when set, else exponentially distributed around mean_cost_ns
+/// (the M/M/k service model).
+SimDuration SampleCost(const OperatorSpec& spec, const Tuple& t, Rng* rng);
 
 }  // namespace elasticutor

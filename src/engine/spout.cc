@@ -69,7 +69,7 @@ void SpoutExecutor::SaturationLoop() {
       // Jittered back-off: synchronized retries would otherwise arrive in
       // thundering herds that slam queues to their cap and drain them empty.
       SimDuration delay = static_cast<SimDuration>(
-          rt_->config().emit_retry_ns * (0.5 + rng_.NextDouble()));
+          kEmitRetryNs * (0.5 + rng_.NextDouble()));
       rt_->exec()->After(delay, [this]() { SaturationLoop(); });
       return;
     }
@@ -128,7 +128,7 @@ void SpoutExecutor::DrainBacklog() {
     // Blocked: retry later; `draining_` prevents stacking retry loops.
     draining_ = true;
     SimDuration delay = static_cast<SimDuration>(
-        rt_->config().emit_retry_ns * (0.5 + rng_.NextDouble()));
+        kEmitRetryNs * (0.5 + rng_.NextDouble()));
     rt_->exec()->After(delay, [this]() {
       draining_ = false;
       DrainBacklog();

@@ -5,13 +5,6 @@
 
 namespace elasticutor {
 
-Result<OperatorId> Topology::FindOperator(const std::string& name) const {
-  for (size_t i = 0; i < operators_.size(); ++i) {
-    if (operators_[i].name == name) return static_cast<OperatorId>(i);
-  }
-  return Status::NotFound("operator '" + name + "'");
-}
-
 OperatorId TopologyBuilder::AddOperator(OperatorSpec spec) {
   topology_.operators_.push_back(std::move(spec));
   topology_.downstream_.emplace_back();

@@ -30,8 +30,6 @@ class Topology {
   /// Operator ids in topological order (sources first).
   const std::vector<OperatorId>& topo_order() const { return topo_order_; }
 
-  Result<OperatorId> FindOperator(const std::string& name) const;
-
  private:
   friend class TopologyBuilder;
   std::vector<OperatorSpec> operators_;

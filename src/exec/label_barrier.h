@@ -12,11 +12,8 @@
 // paper implements with a labeling tuple per task queue.
 //
 // The class is deliberately dumb: no locking (callers hold their own
-// control mutex) and no knowledge of channels. Markers for unknown ids are
-// ignored, which is what makes cancellation work — Cancel() forgets the
-// barrier and any markers still in flight become stale no-ops, so an
-// aborted migration can re-arm the same shard under a fresh label id
-// without double counting.
+// control mutex) and no knowledge of channels. Markers for unknown ids
+// (a completed barrier's late markers) are ignored.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +49,6 @@ class LabelBarrier {
     pending_.erase(it);
     return true;
   }
-
-  /// Aborts an armed barrier; its outstanding markers become stale. False
-  /// when the id was not armed (already complete or never armed).
-  bool Cancel(int64_t label_id) { return pending_.erase(label_id) > 0; }
 
   bool armed(int64_t label_id) const {
     return pending_.find(label_id) != pending_.end();

@@ -5,7 +5,6 @@
 
 #include "elastic/load_balancer.h"
 #include "engine/single_task_executor.h"  // ApplyOperatorLogic.
-#include "exec/cpu_affinity.h"
 
 namespace elasticutor {
 namespace exec {
@@ -18,6 +17,41 @@ namespace {
 constexpr int64_t kSpeedMinBusyNs = 200'000;
 constexpr double kSpeedAlpha = 0.4;
 constexpr double kSpeedRecovery = 0.2;
+
+/// Rejects native options no run can honour, naming the field.
+Status ValidateNativeOptions(const NativeOptions& o) {
+  if (o.data_path.batch_tuples < 1) {
+    return Status::InvalidArgument(
+        "native.data_path.batch_tuples must be >= 1");
+  }
+  if (o.data_path.channel_capacity_batches < 1) {
+    return Status::InvalidArgument(
+        "native.data_path.channel_capacity_batches must be >= 1");
+  }
+  if (o.workers_per_operator < 0) {
+    return Status::InvalidArgument("native.workers_per_operator must be >= 0");
+  }
+  if (o.max_workers_per_operator < 0) {
+    return Status::InvalidArgument(
+        "native.max_workers_per_operator must be >= 0");
+  }
+  if (o.migration_copy_bytes_per_sec < 0.0) {
+    return Status::InvalidArgument(
+        "native.migration_copy_bytes_per_sec must be >= 0");
+  }
+  if (o.balance.period_ns < 0) {
+    return Status::InvalidArgument("native.balance.period_ns must be >= 0");
+  }
+  if (o.balance.period_ns > 0 && o.balance.theta < 1.0) {
+    return Status::InvalidArgument(
+        "native.balance.theta must be >= 1.0 when the balance tick runs");
+  }
+  if (o.balance.period_ns > 0 && o.balance.max_moves < 1) {
+    return Status::InvalidArgument(
+        "native.balance.max_moves must be >= 1 when the balance tick runs");
+  }
+  return Status::OK();
+}
 }  // namespace
 
 /// EmitContext of a native producer: routes each emission into the partial
@@ -103,10 +137,10 @@ Status NativeRuntime::Setup() {
     return Status::InvalidArgument(
         "elastic paradigm requires a MigrationEngine (Engine wires one)");
   }
-  batch_tuples_ = static_cast<size_t>(
-      std::max(1, config_->native.data_path.batch_tuples));
-  const size_t channel_cap = static_cast<size_t>(
-      std::max(1, config_->native.data_path.channel_capacity_batches));
+  ELASTICUTOR_RETURN_NOT_OK(ValidateNativeOptions(config_->native));
+  batch_tuples_ = static_cast<size_t>(config_->native.data_path.batch_tuples);
+  const size_t channel_cap =
+      static_cast<size_t>(config_->native.data_path.channel_capacity_batches);
 
   const int n = topology_->num_operators();
   partitions_.resize(n);
@@ -246,51 +280,19 @@ void NativeRuntime::SyncProducerPorts(Producer* p) {
   }
 }
 
-int NativeRuntime::NextPinCpu() {
-  if (pin_cpus_.empty()) return -1;
-  const int cpu = pin_cpus_[next_pin_ % pin_cpus_.size()];
-  ++next_pin_;
-  return cpu;
-}
-
-int NativeRuntime::PackageOf(int cpu) const {
-  for (size_t i = 0; i < pin_cpus_.size(); ++i) {
-    if (pin_cpus_[i] == cpu) return pin_packages_[i];
-  }
-  return -1;
-}
-
 void NativeRuntime::Start() {
   ELASTICUTOR_CHECK_MSG(setup_done_, "Start before Setup");
   ELASTICUTOR_CHECK_MSG(!started_, "Start called twice");
   started_ = true;
-  if (config_->native.pinning.enabled) {
-    const CpuTopology topo =
-        CpuTopology::Detect(config_->native.pinning.numa_aware);
-    for (const auto& c : topo.cpus) {
-      pin_cpus_.push_back(c.cpu);
-      pin_packages_.push_back(c.package);
-    }
-  }
   int threads = static_cast<int>(sources_.size());
   ForEachWorker([&threads](Worker*) { ++threads; });
   live_threads_.store(threads, std::memory_order_release);
   // Workers first so channels have their consumers before sources flood.
-  // Pin in creation order: with a package-major CPU list one operator's
-  // workers land on one socket before spilling to the next.
   ForEachWorker([this](Worker* w) {
     w->thread = std::thread([this, w] { WorkerLoop(w); });
-    w->pinned_cpu = NextPinCpu();
-    if (w->pinned_cpu >= 0 && !PinThreadToCpu(&w->thread, w->pinned_cpu)) {
-      w->pinned_cpu = -1;  // Hint failed (cgroup mask etc.): run unpinned.
-    }
   });
   for (auto& s : sources_) {
     s->thread = std::thread([this, src = s.get()] { SourceLoop(src); });
-    s->pinned_cpu = NextPinCpu();
-    if (s->pinned_cpu >= 0 && !PinThreadToCpu(&s->thread, s->pinned_cpu)) {
-      s->pinned_cpu = -1;
-    }
   }
   if (elastic_ && config_->native.balance.period_ns > 0) {
     const SimDuration period = config_->native.balance.period_ns;
@@ -331,10 +333,12 @@ void NativeRuntime::WaitDrained() {
   // Single-threaded from here: merge per-worker counters and sink-latency
   // histograms into the engine metrics (EngineMetrics itself is not
   // touched by running threads).
-  metrics_->MergeSinkCount(sink_count());
-  ForEachWorker([this](Worker* w) {
+  int64_t sink_tuples = 0;
+  ForEachWorker([this, &sink_tuples](Worker* w) {
+    sink_tuples += w->sink_tuples;
     if (w->is_sink) metrics_->MergeLatency(w->latency);
   });
+  metrics_->MergeSinkCount(sink_tuples);
 }
 
 bool NativeRuntime::EmitTo(Producer* p, ProducerPort* port, const Tuple& t) {
@@ -745,8 +749,8 @@ Status NativeRuntime::GrowWorkers(OperatorId op, int n) {
     return Status::InvalidArgument("not a worker operator");
   }
   if (n < 1) return Status::InvalidArgument("n must be >= 1");
-  const size_t channel_cap = static_cast<size_t>(
-      std::max(1, config_->native.data_path.channel_capacity_batches));
+  const size_t channel_cap =
+      static_cast<size_t>(config_->native.data_path.channel_capacity_batches);
   std::vector<Worker*> grown;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
@@ -792,7 +796,6 @@ Status NativeRuntime::GrowWorkers(OperatorId op, int n) {
         for (MpscChannel* ch : port.channels) ch->AddProducer();
         ++elastic_ops_[port.to_op]->open_producers;
       }
-      w->pinned_cpu = NextPinCpu();
       Worker* raw = w.get();
       workers_[op][count + k] = std::move(w);
       live_threads_.fetch_add(1, std::memory_order_relaxed);
@@ -807,9 +810,6 @@ Status NativeRuntime::GrowWorkers(OperatorId op, int n) {
   ctrl_cv_.notify_all();
   for (Worker* w : grown) {
     w->thread = std::thread([this, w] { WorkerLoop(w); });
-    if (w->pinned_cpu >= 0 && !PinThreadToCpu(&w->thread, w->pinned_cpu)) {
-      w->pinned_cpu = -1;
-    }
   }
   return Status::OK();
 }
@@ -933,25 +933,8 @@ bool NativeRuntime::PumpRetirement() {
           }
         }
         if (shards.empty()) continue;
-        // NUMA preference: evacuate onto the victim's own package when any
-        // active worker lives there (keeps the shard's consumers near its
-        // producers' memory); fall back to the full active set.
-        std::vector<bool> dest = allowed;
-        const int victim_pkg = PackageOf(victim->pinned_cpu);
-        if (victim_pkg >= 0) {
-          std::vector<bool> same(count, false);
-          bool any_same = false;
-          for (int i = 0; i < count; ++i) {
-            if (allowed[i] &&
-                PackageOf(worker_at(op, i)->pinned_cpu) == victim_pkg) {
-              same[i] = true;
-              any_same = true;
-            }
-          }
-          if (any_same) dest = std::move(same);
-        }
         auto moves = balance::PlanEvacuation(shards, shard_load, &slot_load,
-                                             victim->index, dest, &capacity);
+                                             victim->index, allowed, &capacity);
         if (!moves.ok()) continue;  // No destination this round; retry.
         for (const auto& mv : moves.value()) {
           planned.push_back({op, mv.shard, mv.to});
@@ -1006,21 +989,14 @@ void NativeRuntime::StartPrecopy(Worker* w, int64_t label_id) {
       config_->state.migration.strategy,
       config_->native.migration_copy_bytes_per_sec,
       [this, label_id] { BeginLabeling(label_id); });
-  bool finalize_now = false;
-  {
-    std::lock_guard<std::mutex> lock(ctrl_mu_);
-    auto it = migrations_.find(label_id);
-    if (it == migrations_.end()) return;
-    Migration* m = it->second.get();
-    m->handle = std::move(handle);
-    // BeginLabeling may have run synchronously inside Begin (free handoff)
-    // and found the drain already satisfied; it could not finalize without
-    // the handle, so the baton comes back here. An unarmed drain is NOT
-    // satisfied yet — the channel backlog stands in for the barrier and
-    // the epilogue finalizes once that backlog is consumed.
-    finalize_now = m->phase == MigPhase::kDrained && m->barrier_armed;
-  }
-  if (finalize_now) DrainComplete(w, label_id);
+  // The handle lands before any drain can complete, even when BeginLabeling
+  // already ran (synchronously inside Begin, or on a pre-copy timer): an
+  // armed barrier completes only when this thread pops the last marker,
+  // and an unarmed drain is finalized only from this thread's epilogue.
+  std::lock_guard<std::mutex> lock(ctrl_mu_);
+  auto it = migrations_.find(label_id);
+  if (it == migrations_.end()) return;
+  it->second->handle = std::move(handle);
 }
 
 void NativeRuntime::BeginLabeling(int64_t label_id) {
@@ -1081,8 +1057,9 @@ void NativeRuntime::DrainComplete(Worker* w, int64_t label_id) {
     if (it == migrations_.end()) return;
     Migration* m = it->second.get();
     if (m->phase != MigPhase::kDrained) return;  // Someone else finalized.
-    if (m->handle == nullptr) return;  // Begin still in flight; StartPrecopy
-                                       // re-drives once the handle lands.
+    // StartPrecopy stored it on this thread before any drain could complete.
+    ELASTICUTOR_CHECK_MSG(m->handle != nullptr,
+                          "drain completed before the pre-copy handle");
     m->phase = MigPhase::kFinalizing;
     if (validate_) {
       auto os = w->order_state.find(m->shard);
@@ -1301,7 +1278,6 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
       wt.processed = w->pub_processed.load(std::memory_order_relaxed);
       wt.sink_tuples = w->pub_sink.load(std::memory_order_relaxed);
       wt.speed = eo != nullptr ? eo->speed_ewma[i] : 0.0;
-      wt.pinned_cpu = w->pinned_cpu;
       wt.retiring = w->retiring.load(std::memory_order_relaxed);
       wt.exited = w->exited;
       snap.total_processed += wt.processed;
@@ -1328,7 +1304,6 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
     st.op = s->op;
     st.index = s->index;
     st.emitted = s->pub_generated.load(std::memory_order_relaxed);
-    st.pinned_cpu = s->pinned_cpu;
     snap.source_emitted += st.emitted;
     snap.sources.push_back(st);
   }
@@ -1338,22 +1313,12 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
 }
 
 // ---------------------------------------------------------------------------
-// Accessors (deprecated forwarders; see the header's liveness contract).
+// Accessors (see the header's liveness contract).
 // ---------------------------------------------------------------------------
-
-int NativeRuntime::shard_owner(OperatorId op, ShardId shard) const {
-  return OwnerOf(
-      elastic_ops_.at(op)->owner.at(shard).load(std::memory_order_acquire));
-}
 
 int64_t NativeRuntime::reassignments_done() const {
   std::lock_guard<std::mutex> lock(ctrl_mu_);
   return reassignments_done_;
-}
-
-int64_t NativeRuntime::migrations_in_flight() const {
-  std::lock_guard<std::mutex> lock(ctrl_mu_);
-  return static_cast<int64_t>(migrations_.size());
 }
 
 std::vector<SimDuration> NativeRuntime::migration_pauses() const {
@@ -1369,31 +1334,6 @@ int64_t NativeRuntime::labels_routed() const {
 int64_t NativeRuntime::order_violations() const {
   int64_t total = 0;
   ForEachWorker([&total](Worker* w) { total += w->order_violations; });
-  return total;
-}
-
-int64_t NativeRuntime::total_processed() const {
-  int64_t total = 0;
-  ForEachWorker([&total](Worker* w) { total += w->processed; });
-  return total;
-}
-
-int64_t NativeRuntime::processed(OperatorId op) const {
-  int64_t total = 0;
-  const int count = worker_count_.at(op).load(std::memory_order_acquire);
-  for (int i = 0; i < count; ++i) total += workers_[op][i]->processed;
-  return total;
-}
-
-int64_t NativeRuntime::sink_count() const {
-  int64_t total = 0;
-  ForEachWorker([&total](Worker* w) { total += w->sink_tuples; });
-  return total;
-}
-
-int64_t NativeRuntime::source_emitted() const {
-  int64_t total = 0;
-  for (const auto& s : sources_) total += s->generated;
   return total;
 }
 

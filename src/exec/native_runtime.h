@@ -81,8 +81,8 @@
 //   WaitDrained(). The balance tick feeds the per-shard busy deltas and
 //   per-worker measured speeds (EWMA of processed/busy, normalized to the
 //   fastest worker) into the capacity-aware balance::PlanMoves — a worker
-//   pinned to a busy core sheds shards even when raw tuple counts look
-//   even.
+//   sharing its core with other load sheds shards even when raw tuple
+//   counts look even.
 //
 // * Actuation. GrowWorkers(op, n) adds threads at runtime: each new worker
 //   takes a pre-reserved slot (native.max_workers_per_operator), registers
@@ -97,23 +97,21 @@
 //   exits only when it owns no shard and no in-flight migration references
 //   it — evacuation-before-exit, so zero tuples are lost or reordered.
 //
-// * Placement. With native.pinning.enabled each thread is pinned
-//   round-robin over the online CPU list (package-major when numa_aware,
-//   so an operator's workers — and the shards they own — fill one socket
-//   before spilling); the retirement pump prefers same-package
-//   destinations. Pinning is a hint: a failed pin runs unpinned.
+// * Placement is left to the OS scheduler: threads are not pinned, and the
+//   retirement pump evacuates onto any active worker of the operator.
 //
 // Threading contract: worker state (stores, rngs, counters) is strictly
 // thread-local while running; cross-thread communication happens only
 // through the channels and the control board (ctrl_mu_ + atomics above).
 // Introspection surfaces:
 //  * SampleTelemetry() — live (fresh to one micro-batch) and exact after
-//    WaitDrained(); the canonical surface.
-//  * The legacy aggregate accessors (total_processed() etc.) are thin
-//    deprecated forwarders kept for one release: valid only after
-//    WaitDrained() returned (they read joined threads' plain counters).
-//  * reassignments_done(), shard_owner(), migrations_in_flight(),
-//    num_workers() are live-safe.
+//    WaitDrained(); the canonical surface for processed, sink, emitted and
+//    busy counts, shard owners and moves in flight.
+//  * reassignments_done(), labels_routed(), migration_pauses(),
+//    num_workers() and worker_of_shard() are live-safe.
+//  * order_violations() and the channel counters (push_blocks() etc.)
+//    have no snapshot field; they read plain per-worker counters and are
+//    valid only after WaitDrained() returned.
 //  * Sink latency histograms merge into EngineMetrics at WaitDrained()
 //    (Engine::LatencyHistogram() is post-drain on this backend).
 #pragma once
@@ -163,13 +161,13 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
 
   /// Builds partitions, channels, stores and per-slot rngs (mirroring the
   /// simulator's deterministic fork order). Supports the static and elastic
-  /// paradigms; rejects resource-centric (simulator-only).
+  /// paradigms; rejects resource-centric (simulator-only) and, with
+  /// InvalidArgument naming the field, out-of-range NativeOptions.
   Status Setup();
 
   /// Launches all threads (and the periodic balance tick when
-  /// native.balance.period_ns is set), pinning them when
-  /// native.pinning.enabled. Sources run until their SourceSpec::max_tuples
-  /// budget is exhausted (0 = until StopSources).
+  /// native.balance.period_ns is set). Sources run until their
+  /// SourceSpec::max_tuples budget is exhausted (0 = until StopSources).
   void Start();
 
   /// Asks sources to stop after their current tuple; the dataflow then
@@ -209,25 +207,16 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// exit (so every move after the drain is rejected).
   Status ReassignShard(OperatorId op, ShardId shard, int to_worker);
 
-  /// Current owner worker of a shard (acquire load; callable while live).
-  int shard_owner(OperatorId op, ShardId shard) const;
   /// Completed reassignments (callable while live).
   int64_t reassignments_done() const;
-  /// Moves currently in flight (callable while live).
-  int64_t migrations_in_flight() const;
   /// Routing-pause durations (flip -> shard installed) of every completed
   /// migration, in ns.
   std::vector<SimDuration> migration_pauses() const;
   /// Label markers pushed by producers over the runtime's lifetime.
   int64_t labels_routed() const;
 
-  // ---- Aggregates: deprecated forwarders (valid after WaitDrained) ----
-  // Prefer SampleTelemetry(): same numbers, one surface, live-safe. These
-  // read the joined threads' plain counters and are kept for one release.
-  int64_t total_processed() const;
-  int64_t sink_count() const;
-  int64_t source_emitted() const;
-  int64_t processed(OperatorId op) const;
+  // ---- Post-drain counters without a snapshot field ----
+  // Valid after WaitDrained: they read the joined threads' plain counters.
   /// Out-of-order (origin, key) deliveries observed by the concurrent
   /// order validator (validate_key_order; always 0 unless the routing
   /// protocol is broken).
@@ -308,8 +297,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     /// read lock-free as the worker's fast exit gate). Sticky: a retired
     /// worker is never again a valid migration destination.
     std::atomic<bool> retiring{false};
-    /// CPU this thread was pinned to (-1 = unpinned).
-    int pinned_cpu = -1;
     /// Post-flip tuples of shards whose state has not arrived yet, in
     /// arrival order (replayed at install).
     std::unordered_map<ShardId, std::vector<Tuple>> hold;
@@ -329,7 +316,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     Rng rng{0, 0};
     int64_t generated = 0;
     std::atomic<int64_t> pub_generated{0};  // Live telemetry.
-    int pinned_cpu = -1;
     // Trace-mode pacing: the backend timer sets `fired`, the source thread
     // waits on the condvar (with a poll fallback so StopSources is prompt).
     std::mutex pace_mu;
@@ -504,11 +490,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
       for (int i = 0; i < count; ++i) f(workers_[op][i].get());
     }
   }
-  /// Next CPU of the pinning plan (-1 when pinning is off). Caller holds
-  /// ctrl_mu_ or is in single-threaded Start.
-  int NextPinCpu();
-  /// Package of a pinned CPU (-1 unknown / unpinned).
-  int PackageOf(int cpu) const;
 
   const Topology* topology_;
   const EngineConfig* config_;
@@ -555,11 +536,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   uint32_t next_origin_ = 1;
   /// Retirement pump armed (one periodic timer serves all operators).
   bool retire_pump_armed_ = false;
-  /// Pinning plan: online CPUs in assignment order (package-major when
-  /// numa_aware) and the round-robin cursor.
-  std::vector<int> pin_cpus_;
-  std::vector<int> pin_packages_;  // Parallel to pin_cpus_.
-  size_t next_pin_ = 0;
 
   std::atomic<int> live_threads_{0};
   std::atomic<bool> stop_sources_{false};

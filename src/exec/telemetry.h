@@ -1,9 +1,12 @@
 // Resource-control plane, measurement half: TelemetrySnapshot is the one
-// introspection surface of an execution backend. It replaces three ad-hoc
-// surfaces that grew independently (NativeRuntime's aggregate accessors,
-// EngineMetrics' busy counters, ElasticExecutor::TaskSpeedOn) with a single
-// structured sample a balancer or controller can consume without knowing
-// which backend produced it.
+// introspection surface of an execution backend for processed, sink,
+// emitted and busy counts, per-worker speeds, shard owners and moves in
+// flight — a single structured sample a balancer or controller can consume
+// without knowing which backend produced it. NativeRuntime keeps accessors
+// only for what the snapshot does not carry (order violations, channel
+// contention, routing pauses, label counts, per-worker stores), and
+// ElasticExecutor::TaskSpeedOn remains as a probe of any node's task speed
+// (the snapshot reports the home node's).
 //
 // The load signal is *measured wall-busy time*, not processed counts: the
 // paper's executor-level load model (§4) weighs tasks by the CPU they
@@ -114,8 +117,6 @@ struct WorkerTelemetry {
   /// operator), EWMA-smoothed; what the balancer feeds PlanMoves as
   /// capacity. 0 while unmeasured (treated as nominal by consumers).
   double speed = 0.0;
-  /// CPU the thread is pinned to (-1 = unpinned / sim).
-  int pinned_cpu = -1;
   /// Lifecycle: a retiring worker is being evacuated by ShrinkWorkers and
   /// accepts no new shards; an exited worker's thread is gone.
   bool retiring = false;
@@ -136,7 +137,6 @@ struct SourceTelemetry {
   OperatorId op = -1;
   int index = -1;
   int64_t emitted = 0;
-  int pinned_cpu = -1;
 };
 
 /// A point-in-time sample of the whole execution. All counters are

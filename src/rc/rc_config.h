@@ -19,27 +19,6 @@ struct RcConfig {
 
   /// Repartition when max/avg executor load exceeds this.
   double imbalance_threshold = 1.2;
-
-  /// Coordination cost the controller pays per upstream executor in each
-  /// synchronization phase (pause and routing-update). Models the
-  /// ZooKeeper/nimbus-style round trips of operator-level repartitioning;
-  /// this is what makes RC synchronization grow with the number of upstream
-  /// executors (Fig 9a).
-  SimDuration coord_per_upstream_ns = Millis(4);
-
-  /// Latency of a single pause/resume control round trip.
-  SimDuration control_rtt_ns = Millis(1);
-
-  /// Whether the controller may also change the number of executors per
-  /// operator (operator scaling) using the shared performance model.
-  bool enable_rescale = true;
-
-  /// Capacity-aware repartitioning: weight the shared balancing heuristic
-  /// by per-executor capacities derived from the fault plane's node CPU
-  /// factors, so key repartitioning dilutes load away from straggler nodes
-  /// (RC's executors cannot move, so dilution is its only reaction). Off =
-  /// the homogeneous baseline (kept for ablation).
-  bool capacity_aware = true;
 };
 
 }  // namespace elasticutor

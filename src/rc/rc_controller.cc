@@ -9,6 +9,20 @@
 
 namespace elasticutor {
 
+namespace {
+
+/// Coordination cost the controller pays per upstream executor in each
+/// synchronization phase (pause and routing-update). Models the
+/// ZooKeeper/nimbus-style round trips of operator-level repartitioning;
+/// this is what makes RC synchronization grow with the number of upstream
+/// executors (Fig 9a).
+constexpr SimDuration kCoordPerUpstreamNs = Millis(4);
+
+/// Latency of a single pause/resume control round trip.
+constexpr SimDuration kControlRttNs = Millis(1);
+
+}  // namespace
+
 RcController::RcController(Runtime* rt, const Cluster* cluster,
                            CoreLedger* ledger,
                            std::vector<OperatorId> managed_ops)
@@ -111,7 +125,7 @@ void RcController::RunOnce() {
 
   // Operator scaling via the shared performance model.
   std::vector<int> targets;
-  if (cfg.enable_rescale && ops_.size() >= 1) {
+  if (!ops_.empty()) {
     std::vector<ExecutorDemand> demands(ops_.size());
     for (size_t i = 0; i < ops_.size(); ++i) {
       demands[i].lambda = ops_[i].lambda.value();
@@ -155,8 +169,7 @@ void RcController::RunOnce() {
         loads[map[shard]] += s.interval_load[shard];
       }
       std::vector<double> caps = ExecutorCapacities(s.op);
-      double delta = balance::ImbalanceFactor(
-          loads, cfg.capacity_aware ? &caps : nullptr);
+      double delta = balance::ImbalanceFactor(loads, &caps);
       if (delta > worst) {
         worst = delta;
         chosen = s.op;
@@ -238,12 +251,10 @@ Status RcController::StartRepartition(OperatorId op, int new_count) {
         NodeId candidate = (e + i) % cluster_->num_nodes();
         if (free[candidate] <= 0) continue;
         if (node < 0 ||
-            (cfg.capacity_aware &&
-             rt_->faults()->cpu_factor(candidate) <
-                 rt_->faults()->cpu_factor(node))) {
+            rt_->faults()->cpu_factor(candidate) <
+                rt_->faults()->cpu_factor(node)) {
           node = candidate;
         }
-        if (!cfg.capacity_aware) break;  // Baseline: first fit.
       }
       if (node < 0) {
         return Status::ResourceExhausted("no free core for new RC executor");
@@ -262,7 +273,6 @@ Status RcController::StartRepartition(OperatorId op, int new_count) {
     NodeId node = grow_nodes[e - old_count];
     capacity[e] = CoreSpeed(rt_->faults()->cpu_factor(node));
   }
-  const std::vector<double>* caps = cfg.capacity_aware ? &capacity : nullptr;
 
   // Plan the new map: evacuate executors beyond new_count, then rebalance.
   std::vector<int> assignment = part->map();
@@ -280,7 +290,7 @@ Status RcController::StartRepartition(OperatorId op, int new_count) {
         if (assignment[s] == victim) owned.push_back(s);
       }
       auto evac = balance::PlanEvacuation(owned, shard_load, &slot_load,
-                                          victim, allowed, caps);
+                                          victim, allowed, &capacity);
       if (!evac.ok()) return evac.status();
       for (const auto& mv : *evac) assignment[mv.shard] = mv.to;
     }
@@ -289,8 +299,7 @@ Status RcController::StartRepartition(OperatorId op, int new_count) {
                                     capacity.begin() + new_count);
   balance::PlanMoves(shard_load, &assignment, new_count,
                      cfg.imbalance_threshold,
-                     /*max_moves=*/256, /*frozen=*/nullptr,
-                     caps != nullptr ? &plan_capacity : nullptr);
+                     /*max_moves=*/256, /*frozen=*/nullptr, &plan_capacity);
   // One sequential reassignment per shard whose final owner changed.
   std::vector<balance::Move> moves;
   for (int s = 0; s < num_shards; ++s) {
@@ -334,12 +343,11 @@ Status RcController::StartRepartition(OperatorId op, int new_count) {
 }
 
 SimDuration RcController::SyncCoordinationDelay(OperatorId op) const {
-  const RcConfig& cfg = rt_->config().rc;
   int64_t upstream_executors = 0;
   for (OperatorId up : rt_->topology().upstream(op)) {
     upstream_executors += static_cast<int64_t>(rt_->executors(up).size());
   }
-  return cfg.control_rtt_ns + upstream_executors * cfg.coord_per_upstream_ns;
+  return kControlRttNs + upstream_executors * kCoordPerUpstreamNs;
 }
 
 void RcController::DrainPoll() {

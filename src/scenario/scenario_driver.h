@@ -44,9 +44,6 @@ class ScenarioDriver {
   /// once, after Engine::Setup() and before running the measured window.
   void Install();
 
-  /// The multiplier the shaper applies to trace sources at time t.
-  double RateFactorAt(SimTime t) const { return shaper_.FactorAt(t); }
-
   const Scenario& scenario() const { return scenario_; }
   int64_t events_fired() const { return events_fired_; }
 

@@ -9,6 +9,13 @@
 
 namespace elasticutor {
 
+namespace {
+
+/// EWMA smoothing for measured λ/µ/data-intensity.
+constexpr double kMetricAlpha = 0.5;
+
+}  // namespace
+
 double SchedulerTiming::MaxCycleMs() const {
   double best = 0.0;
   for (double v : cycle_ms) best = std::max(best, v);
@@ -27,14 +34,13 @@ DynamicScheduler::DynamicScheduler(
     Runtime* rt, const Cluster* cluster, CoreLedger* ledger,
     std::vector<std::shared_ptr<ElasticExecutor>> executors)
     : rt_(rt), cluster_(cluster), ledger_(ledger) {
-  const SchedulerConfig& cfg = rt_->config().scheduler;
   states_.reserve(executors.size());
   for (auto& ex : executors) {
     ExecutorState state;
     state.executor = std::move(ex);
-    state.lambda = Ewma(cfg.metric_alpha);
-    state.mu = Ewma(cfg.metric_alpha);
-    state.intensity = Ewma(cfg.metric_alpha);
+    state.lambda = Ewma(kMetricAlpha);
+    state.mu = Ewma(kMetricAlpha);
+    state.intensity = Ewma(kMetricAlpha);
     // Seed µ from the operator's declared mean cost so the first cycles have
     // a sane service-rate estimate.
     const OperatorSpec& spec = rt_->topology().spec(state.executor->op());
@@ -98,7 +104,7 @@ std::vector<int> DynamicScheduler::ComputeTargets() {
   }
   AllocationResult alloc =
       AllocateCores(demands, AvailableCores(),
-                    ToSeconds(cfg.latency_target_ns), cfg.allocate_all_cores);
+                    ToSeconds(cfg.latency_target_ns), /*allocate_all=*/true);
   return alloc.cores;
 }
 
@@ -137,36 +143,36 @@ void DynamicScheduler::RunOnce() {
     }
   }
   const int available_cores = AvailableCores();
-  if (rt_->config().scheduler.allocate_all_cores) {
-    // The deadband must not strand capacity: hand leftover cores to the
-    // executors with the highest per-core utilization. A grant only changes
-    // the grantee's utilization (its target grew), so a max-heap with
-    // recompute-on-pop staleness replaces the per-core O(m) argmax scan;
-    // (util, -j) keys reproduce the scan's smallest-index tie-break.
-    int total_target = 0;
-    for (int t : targets) total_target += t;
-    if (total_target < available_cores) {
-      auto util_of = [&](int j) {
-        return std::max(states_[j].lambda.value(), 0.0) /
-               (std::max(states_[j].mu.value(), 1e-9) * targets[j]);
-      };
-      std::priority_queue<std::pair<double, int>> heap;
-      for (int j = 0; j < static_cast<int>(states_.size()); ++j) {
-        heap.push({util_of(j), -j});
+  // Work-conserving: after meeting the latency target, every free core is
+  // granted (saturation experiments need all cores contributing), and the
+  // deadband must not strand capacity: hand leftover cores to the
+  // executors with the highest per-core utilization. A grant only changes
+  // the grantee's utilization (its target grew), so a max-heap with
+  // recompute-on-pop staleness replaces the per-core O(m) argmax scan;
+  // (util, -j) keys reproduce the scan's smallest-index tie-break.
+  int total_target = 0;
+  for (int t : targets) total_target += t;
+  if (total_target < available_cores) {
+    auto util_of = [&](int j) {
+      return std::max(states_[j].lambda.value(), 0.0) /
+             (std::max(states_[j].mu.value(), 1e-9) * targets[j]);
+    };
+    std::priority_queue<std::pair<double, int>> heap;
+    for (int j = 0; j < static_cast<int>(states_.size()); ++j) {
+      heap.push({util_of(j), -j});
+    }
+    while (total_target < available_cores) {
+      auto [util, neg_j] = heap.top();
+      heap.pop();
+      int j = -neg_j;
+      double fresh = util_of(j);
+      if (fresh != util) {  // Stale (j was granted since the push).
+        heap.push({fresh, neg_j});
+        continue;
       }
-      while (total_target < available_cores) {
-        auto [util, neg_j] = heap.top();
-        heap.pop();
-        int j = -neg_j;
-        double fresh = util_of(j);
-        if (fresh != util) {  // Stale (j was granted since the push).
-          heap.push({fresh, neg_j});
-          continue;
-        }
-        ++targets[j];
-        ++total_target;
-        heap.push({util_of(j), neg_j});
-      }
+      ++targets[j];
+      ++total_target;
+      heap.push({util_of(j), neg_j});
     }
   }
 

@@ -22,19 +22,11 @@ struct SchedulerConfig {
   /// finds a feasible assignment. Paper default: 512 KB/s.
   double phi_bytes_per_sec = 512.0 * 1024.0;
 
-  /// EWMA smoothing for measured λ/µ/data-intensity.
-  double metric_alpha = 0.5;
-
   /// If true, disable the migration-cost and locality optimizations of
   /// Algorithm 1 (the paper's "naive-EC" baseline): the assignment is
   /// recomputed from scratch each round, ignoring the existing placement and
   /// data intensity.
   bool naive_assignment = false;
-
-  /// Work-conserving mode: after meeting the latency target, spread the
-  /// remaining free cores over executors proportional to load (used in
-  /// saturation/throughput experiments so all cores contribute).
-  bool allocate_all_cores = true;
 
   /// Routing-pause budget per scheduling cycle (seconds; 0 = unlimited).
   /// The cycle's planned state movement is priced with the pause-cost model

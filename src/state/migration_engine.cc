@@ -6,6 +6,11 @@
 namespace elasticutor {
 
 namespace {
+
+/// Chunks in flight at once during a cross-node pre-copy: 1 would be fully
+/// RTT-paced; more pipelines the path (but hogs the NIC for longer bursts).
+constexpr int kPipelineDepth = 4;
+
 // A same-node handoff at zero copy rate moves ownership without shipping a
 // byte (intra-process state sharing) — it must not count as traffic.
 bool FreeTransfer(NodeId from, NodeId to, double local_rate) {
@@ -70,7 +75,7 @@ MigrationEngine::Handle MigrationEngine::Begin(ProcessStateStore* src,
 }
 
 void MigrationEngine::PumpPrecopy(const Handle& m) {
-  // Keep up to pipeline_depth chunks in flight; each landing chunk refills
+  // Keep up to kPipelineDepth chunks in flight; each landing chunk refills
   // the window, so data tuples sharing the NIC interleave between chunks
   // instead of waiting behind the whole snapshot. Same-node copies are a
   // single memcpy stream — no pipelining to exploit.
@@ -80,8 +85,7 @@ void MigrationEngine::PumpPrecopy(const Handle& m) {
   // concurrently); the Transfer calls happen outside it so a chunk landing
   // synchronously cannot self-deadlock.
   const int64_t chunk = std::max<int64_t>(1, config_.chunk_bytes);
-  const int depth =
-      m->from_ == m->to_ ? 1 : std::max(1, config_.pipeline_depth);
+  const int depth = m->from_ == m->to_ ? 1 : kPipelineDepth;
   std::vector<int64_t> to_send;
   {
     std::lock_guard<std::mutex> lock(m->mu_);

@@ -4,6 +4,17 @@
 
 namespace elasticutor {
 
+namespace {
+
+/// kExternalKv: latency of one store access (one read or one write).
+constexpr SimDuration kExternalAccessNs = Micros(150);
+/// kExternalKv: approximate payload of one KV request/response message.
+constexpr int64_t kExternalValueBytes = 128;
+/// kAlwaysMigrate: same-node serialize+copy rate, ~2 GB/s memcpy+serde.
+constexpr double kLocalCopyBytesPerSec = 2e9;
+
+}  // namespace
+
 const char* StateBackendName(StateBackendKind kind) {
   switch (kind) {
     case StateBackendKind::kLocalShared:
@@ -75,11 +86,10 @@ std::unique_ptr<StateBackend> CreateStateBackend(const StateLayerConfig& config,
     case StateBackendKind::kLocalShared:
       return std::make_unique<LocalSharedBackend>();
     case StateBackendKind::kAlwaysMigrate:
-      return std::make_unique<AlwaysMigrateBackend>(
-          config.local_copy_bytes_per_sec);
+      return std::make_unique<AlwaysMigrateBackend>(kLocalCopyBytesPerSec);
     case StateBackendKind::kExternalKv:
       return std::make_unique<ExternalKvBackend>(
-          home, net, config.external_access_ns, config.external_value_bytes);
+          home, net, kExternalAccessNs, kExternalValueBytes);
   }
   ELASTICUTOR_CHECK_MSG(false, "unknown state backend kind");
   return nullptr;

@@ -57,20 +57,10 @@ struct MigrationConfig {
   /// Pre-copy chunk size; the pause-time flatness of chunked-live migration
   /// is insensitive to this as long as chunks are small vs the shard.
   int64_t chunk_bytes = 64 * kKiB;
-  /// Chunks in flight at once during pre-copy: 1 = fully RTT-paced, higher
-  /// values pipeline the path (but hog the NIC for longer bursts).
-  int pipeline_depth = 4;
 };
 
 struct StateLayerConfig {
   StateBackendKind backend = StateBackendKind::kLocalShared;
-  /// Per store access latency (one read or one write) under kExternalKv.
-  SimDuration external_access_ns = Micros(150);
-  /// Approximate payload of one KV request/response message.
-  int64_t external_value_bytes = 128;
-  /// Same-node serialize+copy rate for backends that migrate within a
-  /// process (kAlwaysMigrate); ~2 GB/s memcpy+serde.
-  double local_copy_bytes_per_sec = 2e9;
   MigrationConfig migration;
 };
 

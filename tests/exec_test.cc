@@ -12,7 +12,6 @@
 
 #include "engine/engine_config.h"
 #include "exec/batch_pool.h"
-#include "exec/cpu_affinity.h"
 #include "exec/label_barrier.h"
 #include "exec/mpsc_channel.h"
 #include "exec/native_backend.h"
@@ -333,19 +332,6 @@ TEST(LabelBarrierTest, ZeroProducersMeansNothingToWaitFor) {
   EXPECT_EQ(barrier.outstanding(1), 0);
 }
 
-TEST(LabelBarrierTest, CancelMakesInFlightMarkersStaleAndAllowsRelabel) {
-  exec::LabelBarrier barrier;
-  ASSERT_TRUE(barrier.Arm(/*label_id=*/9, /*expected=*/2));
-  EXPECT_TRUE(barrier.Cancel(9));  // Aborted migration.
-  EXPECT_FALSE(barrier.Cancel(9));  // Already gone.
-  EXPECT_FALSE(barrier.OnLabel(9));  // Its markers no-op from now on.
-  // Re-labeling the same shard under a fresh id must not double count the
-  // stale markers still in flight.
-  ASSERT_TRUE(barrier.Arm(/*label_id=*/10, /*expected=*/1));
-  EXPECT_FALSE(barrier.OnLabel(9));  // Another stale marker drains.
-  EXPECT_TRUE(barrier.OnLabel(10));
-}
-
 TEST(LabelBarrierTest, IndependentLabelsDoNotInterfere) {
   exec::LabelBarrier barrier;
   ASSERT_TRUE(barrier.Arm(1, 1));
@@ -476,7 +462,7 @@ TEST(CycleClockTest, TicksAdvanceAndConvertToPlausibleNs) {
   const uint64_t t0 = exec::CycleClock::Now();
   // Busy-wait a hair so even a coarse fallback clock moves.
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const uint64_t t1 = exec::CycleClock::Now();
   EXPECT_GT(t1, t0);
   EXPECT_GT(exec::CycleClock::NsPerTick(), 0.0);
@@ -485,39 +471,6 @@ TEST(CycleClockTest, TicksAdvanceAndConvertToPlausibleNs) {
   EXPECT_LT(ns, Seconds(10));  // A spin of 1e5 adds is nowhere near 10 s.
 }
 
-TEST(CpuAffinityTest, DetectsAtLeastOneCpuAndGroupsPackages) {
-  const exec::CpuTopology topo = exec::CpuTopology::Detect(false);
-  ASSERT_FALSE(topo.cpus.empty());
-  for (const auto& c : topo.cpus) EXPECT_GE(c.cpu, 0);
-  // numa_aware ordering: package ids must be non-interleaved (each package's
-  // CPUs contiguous in the list).
-  const exec::CpuTopology numa = exec::CpuTopology::Detect(true);
-  ASSERT_EQ(numa.cpus.size(), topo.cpus.size());
-  for (size_t i = 2; i < numa.cpus.size(); ++i) {
-    if (numa.cpus[i].package == numa.cpus[i - 2].package) {
-      EXPECT_EQ(numa.cpus[i - 1].package, numa.cpus[i].package)
-          << "package ids interleave at index " << i;
-    }
-  }
-}
-
-TEST(CpuAffinityTest, PinThreadToCpuMatchesSupportClaim) {
-  std::atomic<bool> stop{false};
-  std::thread t([&stop] {
-    while (!stop.load()) std::this_thread::yield();
-  });
-  const exec::CpuTopology topo = exec::CpuTopology::Detect(false);
-  const bool pinned = exec::PinThreadToCpu(&t, topo.cpus.front().cpu);
-  if (exec::PinningSupported()) {
-    EXPECT_TRUE(pinned);  // First online CPU is always a legal target.
-  } else {
-    EXPECT_FALSE(pinned);  // The shim declines rather than pretending.
-  }
-  // Pinning to a CPU that cannot exist fails cleanly everywhere.
-  EXPECT_FALSE(exec::PinThreadToCpu(&t, 1 << 20));
-  stop.store(true);
-  t.join();
-}
 
 TEST(ExecutionBackendTest, UnboundResourcePlaneYieldsEmptySnapshot) {
   NativeBackend backend;

@@ -92,10 +92,11 @@ TEST(NativeElasticStressTest, RandomizedMigrationSoakConservesEveryTuple) {
 
   // Conservation: every generated tuple was processed and hit the sink
   // exactly once — nothing lost in a drain, nothing replayed twice.
-  const int64_t emitted = native->source_emitted();
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  const int64_t emitted = snap.source_emitted;
   EXPECT_GT(emitted, 0);
-  EXPECT_EQ(native->total_processed(), emitted);
-  EXPECT_EQ(native->sink_count(), emitted);
+  EXPECT_EQ(snap.total_processed, emitted);
+  EXPECT_EQ(snap.sink_count, emitted);
   EXPECT_EQ(engine.metrics()->sink_count(), emitted);
 
   // Ordering: the concurrent validator saw every (producer, key) stream
@@ -104,7 +105,7 @@ TEST(NativeElasticStressTest, RandomizedMigrationSoakConservesEveryTuple) {
 
   // Protocol accounting: everything begun was finished.
   EXPECT_GE(native->reassignments_done(), kTargetMoves);
-  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_EQ(snap.migrations_in_flight, 0);
   EXPECT_GT(native->labels_routed(), 0);
   const auto pauses = native->migration_pauses();
   EXPECT_EQ(static_cast<int64_t>(pauses.size()),
@@ -187,25 +188,34 @@ TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
   engine.StopSources();
   engine.RunToCompletion();
 
-  const int64_t emitted = native->source_emitted();
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  const int64_t emitted = snap.source_emitted;
   EXPECT_GT(emitted, 0);
-  EXPECT_EQ(native->total_processed(), emitted);
-  EXPECT_EQ(native->sink_count(), emitted);
+  EXPECT_EQ(snap.total_processed, emitted);
+  EXPECT_EQ(snap.sink_count, emitted);
   EXPECT_EQ(engine.order_violations(), 0);
   EXPECT_GE(scale_ops, kTargetScaleOps);
   EXPECT_GT(native->num_workers(calc), 4) << "no growth ever landed";
-  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_EQ(snap.migrations_in_flight, 0);
   EXPECT_GT(rejected, 0);
 
-  // The unified snapshot agrees with the joined threads' exact counters
-  // (post-WaitDrained exactness), covers every slot ever grown, and shows
-  // every retired worker fully evacuated.
-  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
-  EXPECT_EQ(snap.total_processed, emitted);
-  EXPECT_EQ(snap.sink_count, emitted);
-  EXPECT_EQ(snap.source_emitted, emitted);
+  // The unified snapshot agrees with the sink count the joined threads'
+  // plain counters merged into EngineMetrics at WaitDrained (post-drain
+  // exactness) and with its own per-slot entries, covers every slot ever
+  // grown, and shows every retired worker fully evacuated.
+  EXPECT_EQ(snap.sink_count, engine.metrics()->sink_count());
+  int64_t worker_processed = 0;
+  int64_t worker_sink = 0;
+  for (const auto& wt : snap.workers) {
+    worker_processed += wt.processed;
+    worker_sink += wt.sink_tuples;
+  }
+  int64_t source_emitted = 0;
+  for (const auto& st : snap.sources) source_emitted += st.emitted;
+  EXPECT_EQ(worker_processed, snap.total_processed);
+  EXPECT_EQ(worker_sink, snap.sink_count);
+  EXPECT_EQ(source_emitted, snap.source_emitted);
   EXPECT_EQ(snap.reassignments_done, native->reassignments_done());
-  EXPECT_EQ(snap.migrations_in_flight, 0);
   EXPECT_GT(snap.total_busy_ns, 0);
   int64_t shard_processed = 0;
   for (const auto& st : snap.shards) {
@@ -264,17 +274,18 @@ TEST(NativeElasticStressTest, HotShardPingPongConservesEveryTuple) {
     engine.RunFor(Micros(100));
     for (int s = 0; s < shards; ++s) {
       // Shards still in transition reject the move and go next round.
-      (void)native->ReassignShard(calc, s, 1 - native->shard_owner(calc, s));
+      (void)native->ReassignShard(calc, s,
+                                  1 - native->worker_of_shard(calc, s));
     }
   }
   engine.StopSources();
   engine.RunToCompletion();
 
-  const int64_t emitted = native->source_emitted();
-  EXPECT_GT(emitted, 0);
-  EXPECT_EQ(native->sink_count(), emitted);
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  EXPECT_GT(snap.source_emitted, 0);
+  EXPECT_EQ(snap.sink_count, snap.source_emitted);
   EXPECT_EQ(engine.order_violations(), 0);
-  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_EQ(snap.migrations_in_flight, 0);
 }
 
 TEST(NativeElasticStressTest, MovesAfterDrainAreRejected) {
@@ -292,14 +303,15 @@ TEST(NativeElasticStressTest, MovesAfterDrainAreRejected) {
   const int workers = native->num_workers(calc);
   const int64_t done = native->reassignments_done();
   for (int s = 0; s < native->num_shards(calc); ++s) {
-    const int owner = native->shard_owner(calc, s);
+    const int owner = native->worker_of_shard(calc, s);
     EXPECT_FALSE(native->ReassignShard(calc, s, (owner + 1) % workers).ok())
         << "shard " << s;
-    EXPECT_EQ(native->shard_owner(calc, s), owner);
+    EXPECT_EQ(native->worker_of_shard(calc, s), owner);
   }
-  EXPECT_EQ(native->migrations_in_flight(), 0);
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  EXPECT_EQ(snap.migrations_in_flight, 0);
   EXPECT_EQ(native->reassignments_done(), done);
-  EXPECT_EQ(native->sink_count(), 1000);  // 2 sources x 500.
+  EXPECT_EQ(snap.sink_count, 1000);  // 2 sources x 500.
   EXPECT_EQ(engine.order_violations(), 0);
 }
 
@@ -340,17 +352,18 @@ TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {
 
   // Let tuples flow before closing the sources: stopping them right after
   // Start can beat the source threads to their first emit.
-  for (int pumps = 0; engine.native()->source_emitted() == 0 && pumps < 2000;
+  for (int pumps = 0;
+       engine.SampleTelemetry().source_emitted == 0 && pumps < 2000;
        ++pumps) {
     engine.RunFor(Micros(200));
   }
   engine.StopSources();
   engine.RunToCompletion();
-  EXPECT_GT(engine.native()->source_emitted(), 0);
-  EXPECT_EQ(engine.native()->sink_count(), engine.native()->source_emitted());
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  EXPECT_GT(snap.source_emitted, 0);
+  EXPECT_EQ(snap.sink_count, snap.source_emitted);
   EXPECT_EQ(engine.order_violations(), 0);
   // Everything evacuated onto the lone survivor.
-  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
   int actives = 0;
   for (const auto& wt : snap.workers) {
     if (!wt.retiring) ++actives;
@@ -397,11 +410,11 @@ TEST(NativeElasticStressTest, RejectsOutOfRangeAndInTransitionMoves) {
   EXPECT_FALSE(
       native->ReassignShard(calc, 0, native->num_workers(calc)).ok());
   // Same destination: a no-op success, not a posted move.
-  const int owner = native->shard_owner(calc, 0);
+  const int owner = native->worker_of_shard(calc, 0);
   EXPECT_TRUE(native->ReassignShard(calc, 0, owner).ok());
-  EXPECT_EQ(native->shard_owner(calc, 0), owner);
+  EXPECT_EQ(native->worker_of_shard(calc, 0), owner);
   engine.RunToCompletion();
-  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_EQ(engine.SampleTelemetry().migrations_in_flight, 0);
   EXPECT_EQ(engine.order_violations(), 0);
 }
 

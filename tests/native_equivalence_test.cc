@@ -14,8 +14,11 @@
 // results must not depend on them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "elasticutor/elasticutor.h"
 #include "engine/single_task_executor.h"
@@ -66,8 +69,13 @@ void ForEachStore(Engine* engine, OperatorId op, Fn&& fn) {
 }
 
 int64_t ProcessedCount(Engine* engine, OperatorId op) {
-  if (engine->native() != nullptr) return engine->native()->processed(op);
   int64_t total = 0;
+  if (engine->native() != nullptr) {
+    for (const auto& wt : engine->SampleTelemetry().workers) {
+      if (wt.op == op) total += wt.processed;
+    }
+    return total;
+  }
   for (const auto& ex : engine->runtime()->executors(op)) {
     total += ex->metrics().processed;
   }
@@ -136,8 +144,9 @@ TEST(NativeEquivalenceTest, MicroPerKeyCountersMatchSim) {
   const int64_t expected = kMicroSources * kMicroBudget;
   EXPECT_EQ(sim_engine.metrics()->sink_count(), expected);
   EXPECT_EQ(native_engine.metrics()->sink_count(), expected);
-  EXPECT_EQ(native_engine.native()->source_emitted(), expected);
-  EXPECT_EQ(native_engine.native()->total_processed(), expected);
+  const exec::TelemetrySnapshot snap = native_engine.SampleTelemetry();
+  EXPECT_EQ(snap.source_emitted, expected);
+  EXPECT_EQ(snap.total_processed, expected);
 
   // Identical per-key aggregate state.
   KeyCounts sim_counts, native_counts;
@@ -170,7 +179,8 @@ TEST(NativeEquivalenceTest, MicroNativeIsDeterministicAcrossWorkerCounts) {
     ASSERT_TRUE(engine.Setup().ok());
     engine.Start();
     engine.RunToCompletion();
-    EXPECT_EQ(engine.native()->sink_count(), kMicroSources * kMicroBudget);
+    EXPECT_EQ(engine.SampleTelemetry().sink_count,
+              kMicroSources * kMicroBudget);
     ForEachStore(&engine, workload.calculator,
                  [&](const ProcessStateStore& s) {
                    AccumulateCounts(s, &counts[run]);
@@ -294,14 +304,14 @@ TEST(NativeEquivalenceTest, NativeRunsElasticParadigm) {
     (void)native->ReassignShard(calc, s, (s + 1) % 4);
   }
   engine.RunToCompletion();
-  EXPECT_EQ(native->sink_count(), kMicroSources * kMicroBudget);
+  EXPECT_EQ(engine.SampleTelemetry().sink_count, kMicroSources * kMicroBudget);
   EXPECT_GT(native->reassignments_done(), 0);
-  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_EQ(engine.SampleTelemetry().migrations_in_flight, 0);
   // Post-drain moves are rejected: the worker threads have exited.
-  const int owner = native->shard_owner(calc, 0);
+  const int owner = native->worker_of_shard(calc, 0);
   EXPECT_FALSE(native->ReassignShard(calc, 0, owner == 0 ? 1 : 0).ok());
-  EXPECT_EQ(native->shard_owner(calc, 0), owner);
-  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_EQ(native->worker_of_shard(calc, 0), owner);
+  EXPECT_EQ(engine.SampleTelemetry().migrations_in_flight, 0);
 }
 
 TEST(NativeEquivalenceTest, NativeRunsTraceModeSources) {
@@ -319,9 +329,65 @@ TEST(NativeEquivalenceTest, NativeRunsTraceModeSources) {
   ASSERT_TRUE(engine.Setup().ok());
   engine.Start();
   engine.RunToCompletion();
-  EXPECT_EQ(engine.native()->source_emitted(), 500);
-  EXPECT_EQ(engine.native()->sink_count(), 500);
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  EXPECT_EQ(snap.source_emitted, 500);
+  EXPECT_EQ(snap.sink_count, 500);
 }
+
+// Out-of-range NativeOptions: Setup returns InvalidArgument naming the
+// field instead of clamping it or running with it. One case per field.
+struct BadNativeOption {
+  std::string field;  // As named in the error message.
+  NativeOptions options;
+};
+
+std::vector<BadNativeOption> BadNativeOptions() {
+  std::vector<BadNativeOption> cases;
+  // The returned pointer is used before the next call grows the vector.
+  auto add = [&cases](const char* field) {
+    cases.push_back({field, NativeOptions{}});
+    return &cases.back().options;
+  };
+  add("native.data_path.batch_tuples")->data_path.batch_tuples = 0;
+  add("native.data_path.channel_capacity_batches")
+      ->data_path.channel_capacity_batches = 0;
+  add("native.workers_per_operator")->workers_per_operator = -1;
+  add("native.max_workers_per_operator")->max_workers_per_operator = -1;
+  add("native.migration_copy_bytes_per_sec")->migration_copy_bytes_per_sec =
+      -1.0;
+  add("native.balance.period_ns")->balance.period_ns = -1;
+  NativeOptions* theta = add("native.balance.theta");
+  theta->balance.period_ns = Millis(10);
+  theta->balance.theta = 0.9;
+  NativeOptions* moves = add("native.balance.max_moves");
+  moves->balance.period_ns = Millis(10);
+  moves->balance.max_moves = 0;
+  return cases;
+}
+
+class NativeSetupRejectsTest
+    : public ::testing::TestWithParam<BadNativeOption> {};
+
+TEST_P(NativeSetupRejectsTest, NamesTheField) {
+  MicroWorkload workload = BuildMicroForEquivalence(/*seed=*/3);
+  EngineConfig config = SmallStaticConfig();
+  config.backend = exec::BackendKind::kNative;
+  config.paradigm = Paradigm::kElastic;
+  config.native = GetParam().options;
+  Engine engine(workload.topology, config);
+  const Status status = engine.Setup();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find(GetParam().field), std::string::npos)
+      << status;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryField, NativeSetupRejectsTest, ::testing::ValuesIn(BadNativeOptions()),
+    [](const ::testing::TestParamInfo<BadNativeOption>& info) {
+      std::string name = info.param.field.substr(sizeof("native.") - 1);
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
 
 TEST(NativeEquivalenceTest, NativeValidatesKeyOrder) {
   MicroWorkload workload = BuildMicroForEquivalence(/*seed=*/3);
@@ -334,7 +400,7 @@ TEST(NativeEquivalenceTest, NativeValidatesKeyOrder) {
   ASSERT_TRUE(engine.Setup().ok());
   engine.Start();
   engine.RunToCompletion();
-  EXPECT_EQ(engine.native()->sink_count(), kMicroSources * kMicroBudget);
+  EXPECT_EQ(engine.SampleTelemetry().sink_count, kMicroSources * kMicroBudget);
   EXPECT_EQ(engine.order_violations(), 0);
 }
 
@@ -450,10 +516,11 @@ TEST(NativeEquivalenceTest, MicroElasticCountersMatchSimUnderMigration) {
                              /*rounds=*/6);
     engine.RunToCompletion();
     exec::NativeRuntime* native = engine.native();
-    EXPECT_EQ(native->sink_count(), expected) << "workers=" << workers;
-    EXPECT_EQ(native->source_emitted(), expected);
+    const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+    EXPECT_EQ(snap.sink_count, expected) << "workers=" << workers;
+    EXPECT_EQ(snap.source_emitted, expected);
     EXPECT_EQ(engine.order_violations(), 0) << "workers=" << workers;
-    EXPECT_EQ(native->migrations_in_flight(), 0);
+    EXPECT_EQ(snap.migrations_in_flight, 0);
     if (workers > 1) {
       EXPECT_GT(native->reassignments_done(), 0) << "workers=" << workers;
       EXPECT_GT(native->labels_routed(), 0);
@@ -494,14 +561,14 @@ TEST(NativeEquivalenceTest, PoolResizeKeepsPerKeyResultsBitIdentical) {
       engine.RunFor(Micros(300));
     }
     engine.RunToCompletion();
-    EXPECT_EQ(native->sink_count(), expected) << "run=" << run;
-    EXPECT_EQ(native->source_emitted(), expected);
+    const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+    EXPECT_EQ(snap.sink_count, expected) << "run=" << run;
+    EXPECT_EQ(snap.source_emitted, expected);
     EXPECT_EQ(engine.order_violations(), 0) << "run=" << run;
-    EXPECT_EQ(native->migrations_in_flight(), 0);
+    EXPECT_EQ(snap.migrations_in_flight, 0);
     if (run == 1) {
       EXPECT_GT(native->reassignments_done(), 0);
       // Retired workers hold no state after the drain.
-      const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
       for (const auto& wt : snap.workers) {
         if (!wt.retiring) continue;
         int64_t entries = 0;
@@ -560,7 +627,7 @@ TEST(NativeEquivalenceTest, SseElasticStateMatchesSimUnderMigration) {
     engine.RunToCompletion();
     EXPECT_EQ(ProcessedCount(&engine, workload.transactor), kSseBudget);
     EXPECT_EQ(engine.order_violations(), 0) << "workers=" << workers;
-    EXPECT_EQ(native->migrations_in_flight(), 0);
+    EXPECT_EQ(engine.SampleTelemetry().migrations_in_flight, 0);
     if (workers > 1) EXPECT_GT(native->reassignments_done(), 0);
     EXPECT_EQ(sim_engine.metrics()->sink_count(),
               engine.metrics()->sink_count());
